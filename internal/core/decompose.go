@@ -193,22 +193,31 @@ func findAnomalies(a *AppTrace, firstTask int64) []string {
 // causal order of the scheduling state machines. Pairs with either side
 // unobserved (0) don't count — absence is reported separately.
 func countOrderViolations(a *AppTrace) int {
-	n := 0
-	bad := func(earlier, later int64) {
-		if earlier > 0 && later > 0 && later < earlier {
-			n++
-		}
-	}
-	bad(a.Submitted, a.Accepted)
-	bad(a.Accepted, a.Registered)
-	bad(a.Submitted, a.Finished)
+	n := appOrderViolations(a)
 	for _, c := range a.Containers {
-		bad(c.Allocated, c.Acquired)
-		bad(c.Acquired, c.Localizing)
-		bad(c.Localizing, c.Scheduled)
-		bad(c.Scheduled, c.Running)
-		bad(c.Running, c.FirstLog)
-		bad(c.FirstLog, c.FirstTask)
+		n += containerOrderViolations(c)
 	}
 	return n
+}
+
+// appOrderViolations counts countOrderViolations' application-level pairs.
+func appOrderViolations(a *AppTrace) int {
+	return outOfOrder(a.Submitted, a.Accepted) + outOfOrder(a.Accepted, a.Registered) +
+		outOfOrder(a.Submitted, a.Finished)
+}
+
+// containerOrderViolations counts countOrderViolations' pairs within one
+// container.
+func containerOrderViolations(c *ContainerTrace) int {
+	return outOfOrder(c.Allocated, c.Acquired) + outOfOrder(c.Acquired, c.Localizing) +
+		outOfOrder(c.Localizing, c.Scheduled) + outOfOrder(c.Scheduled, c.Running) +
+		outOfOrder(c.Running, c.FirstLog) + outOfOrder(c.FirstLog, c.FirstTask)
+}
+
+// outOfOrder is 1 when both observations exist and later precedes earlier.
+func outOfOrder(earlier, later int64) int {
+	if earlier > 0 && later > 0 && later < earlier {
+		return 1
+	}
+	return 0
 }

@@ -100,10 +100,13 @@ func FuzzParseReader(f *testing.F) {
 // FuzzStreamFeed pushes arbitrary line streams through the incremental
 // checker, interleaved across an RM log, an NM log, and a container stderr
 // source (exercising container attribution), and checks the memory bound.
-// Every input additionally runs through a ShardedStream with a fuzzed
-// worker count as a differential oracle against the serial stream: the
-// absorbed event multiset must match no matter how lines shard, even on
-// adversarial input that triggers cross-shard event forwarding.
+// The serial stream is diffed against the per-line Correlate + Decompose
+// reference (completions, Complete flags, report, traces) and its report
+// against a batch Correlate of its own events. Every input additionally
+// runs through a ShardedStream with a fuzzed worker count as a
+// differential oracle against the serial stream: the absorbed event
+// multiset must match no matter how lines shard, even on adversarial
+// input that triggers cross-shard event forwarding.
 func FuzzStreamFeed(f *testing.F) {
 	seedCorpusWorkers(f)
 	sources := []string{
@@ -114,9 +117,25 @@ func FuzzStreamFeed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		lines := strings.Split(string(data), "\n")
 
-		st := NewStream()
+		feed := make([]shardLine, len(lines))
 		for i, line := range lines {
-			st.Feed(sources[i%len(sources)], line)
+			feed[i] = shardLine{sources[i%len(sources)], line}
+		}
+		diffFoldReference(t, feed)
+
+		st := NewStream()
+		for _, ln := range feed {
+			st.Feed(ln.source, ln.raw)
+		}
+		rep := st.Report()
+		batch := Correlate(rep.Events)
+		for _, a := range batch {
+			Decompose(a)
+		}
+		if got, err := rep.JSON(); err != nil {
+			t.Fatalf("stream report JSON: %v", err)
+		} else if want, err := ReportFrom(batch, rep.Events).JSON(); err != nil || got != want {
+			t.Fatalf("stream report diverges from Correlate of its own events (err %v)", err)
 		}
 
 		w := int(workers%8) + 1
@@ -167,8 +186,7 @@ func FuzzStreamFeed(f *testing.F) {
 		if n := len(ss.Apps()); n > 8 {
 			t.Fatalf("workers=%d: %d apps tracked after EvictOldest(8)", w, n)
 		}
-		rep := st.Report()
-		_ = rep.Format()
+		_ = st.Report().Format()
 		for _, a := range st.Apps() {
 			_ = st.Complete(a.ID)
 		}

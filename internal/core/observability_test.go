@@ -40,8 +40,9 @@ func feedCorpus(s *Stream, cs corpus) {
 	}
 }
 
-// TestStreamEvictionBoundsMemory is the regression test for the unbounded
-// firstLogSeen/eventsByApp growth: a long-running feed of 2,000 completed
+// TestStreamEvictionBoundsMemory is the regression test for unbounded
+// per-app state growth (events, FIRST_LOG dedup marks): a long-running
+// feed of 2,000 completed
 // applications must stay at the retention limit once EvictCompleted runs.
 func TestStreamEvictionBoundsMemory(t *testing.T) {
 	const apps, keep = 2000, 100
@@ -61,12 +62,22 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 	if got := len(s.apps); got != keep {
 		t.Fatalf("apps retained = %d, want %d", got, keep)
 	}
-	if got := len(s.eventsByApp); got != keep {
-		t.Fatalf("event buckets retained = %d, want %d", got, keep)
+	one := NewStream()
+	feedCorpus(one, miniAppCorpus(1))
+	if got, want := s.EventCount(), keep*one.EventCount(); got != want {
+		t.Fatalf("events retained = %d, want %d", got, want)
 	}
-	// 2 containers with stderr per app; all entries of evicted apps pruned.
-	if got := len(s.firstLogSeen); got != 2*keep {
-		t.Fatalf("firstLogSeen entries = %d, want %d", got, 2*keep)
+	// 2 containers with stderr per app; all marks of evicted apps pruned.
+	marks := 0
+	for _, st := range s.apps {
+		for _, c := range st.cons {
+			if c.firstLogSeen {
+				marks++
+			}
+		}
+	}
+	if marks != 2*keep {
+		t.Fatalf("FIRST_LOG dedup marks = %d, want %d", marks, 2*keep)
 	}
 	// The oldest survivor must be the first kept app.
 	survivors := s.Apps()
@@ -104,10 +115,8 @@ func TestStreamForget(t *testing.T) {
 	if s.EventCount() >= before {
 		t.Fatalf("event count %d not reduced from %d", s.EventCount(), before)
 	}
-	for cid := range s.firstLogSeen {
-		if cid.App == id {
-			t.Fatalf("firstLogSeen leak: %v", cid)
-		}
+	if s.apps[id] != nil {
+		t.Fatal("forgotten app's state (events, FIRST_LOG marks) retained")
 	}
 	// Forgetting an unknown app is a no-op.
 	s.Forget(mustAppID(t, "application_1499000000000_0099"))

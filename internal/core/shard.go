@@ -3,7 +3,6 @@ package core
 import (
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,16 +21,18 @@ var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 // line to one of N worker goroutines, each owning a hash-shard of
 // application IDs with its own serial Stream and its own completed-app
 // ClusterBreakdown sketch. Parsing — the expensive part — runs on the
-// workers; correlation state stays shard-local because every event of an
+// workers; each app's fold state stays shard-local because every event of an
 // application lives in exactly one shard (events a line produces for a
 // foreign application, possible only on adversarial input, are forwarded
 // to the owning shard).
 //
 // All methods are safe for concurrent use. Feed is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
-// gather applications in submission order and events per application in
-// arrival order, so a sharded and a serial stream fed the same line
+// gather applications in submission order and their events by stable
+// timestamp sort, so a sharded and a serial stream fed the same line
 // sequence render byte-identical reports regardless of worker count.
+// Traces returned by App and Apps are published and immutable (see
+// Stream), so callers read them without holding any shard lock.
 type ShardedStream struct {
 	shards []*streamShard
 
@@ -379,8 +380,9 @@ func (sh *streamShard) runObserved(pl *obs.Pipeline, lines []shardLine, routed [
 		sh.routeAndAbsorb(batch[i])
 		sh.ss.done()
 	}
-	// Parsing and absorbing (correlate + decompose) share the middle
-	// clock read; splitting the phases costs no extra reads.
+	// Parsing and absorbing (the fold, plus decomposing apps published on
+	// completion) share the middle clock read; splitting the phases costs
+	// no extra reads.
 	pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
 	pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
 }
@@ -409,33 +411,17 @@ func (sh *streamShard) process(ln shardLine) {
 
 // parseLineScratch parses one line into the worker's reusable scratch
 // parser and returns its scratch-backed events, valid until the next
-// call (routeAndAbsorb never retains the slice: forwards copy, and
-// absorbRouted filters into a fresh slice). The regexp reference path
-// keeps the historical throwaway-parser-per-line behavior.
+// call (routeAndAbsorb never retains the slice: forwards copy, and the
+// owning Stream folds event values). The regexp reference path keeps
+// the historical throwaway-parser-per-line behavior.
 func (sh *streamShard) parseLineScratch(source, raw string) []Event {
 	if referenceMatcher() {
 		return parseLineEvents(sh.ss.pmet, source, raw)
 	}
-	p := sh.scratch
-	if p == nil {
-		p = NewParser()
-		sh.scratch = p
+	if sh.scratch == nil {
+		sh.scratch = NewParser()
 	}
-	p.met = sh.ss.pmet
-	p.events = p.events[:0]
-	if cid, found, err := fastFindContainerID(source); found {
-		if err != nil {
-			return nil
-		}
-		if !p.feedContainerSegments(source, cid, raw) {
-			return nil
-		}
-		return p.events
-	}
-	if !p.feedDaemonSegments(source, raw) {
-		return nil
-	}
-	return p.events
+	return parseScratch(sh.scratch, sh.ss.pmet, source, raw)
 }
 
 // parseLineCopy is parseLineScratch for batch parsing (runObserved
@@ -576,21 +562,13 @@ func (ss *ShardedStream) Apps() []*AppTrace {
 }
 
 // Report snapshots the current state into a full report, gathering
-// events per application in submission order and stable-sorting by
-// timestamp — the same deterministic gathering Stream.Report uses, so a
-// sharded and a serial stream fed the same lines render byte-identical
-// reports. Quiesce first if every fed line must be included.
+// events exactly as Stream.Report does, so a sharded and a serial stream
+// fed the same lines render byte-identical reports. Published traces
+// are immutable, so the gathering needs no shard lock. Quiesce first if
+// every fed line must be included.
 func (ss *ShardedStream) Report() *Report {
 	apps := ss.Apps()
-	var all []Event
-	for _, a := range apps {
-		sh := ss.shards[ss.shardOf(a.ID)]
-		sh.stMu.Lock()
-		all = append(all, sh.st.eventsByApp[a.ID]...)
-		sh.stMu.Unlock()
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].TimeMS < all[j].TimeMS })
-	return ReportFrom(apps, all)
+	return ReportFrom(apps, gatherEvents(apps))
 }
 
 // Breakdown losslessly merges the per-shard completed-application
@@ -615,8 +593,7 @@ func (ss *ShardedStream) Breakdown() *ClusterBreakdown {
 func (ss *ShardedStream) Forget(id ids.AppID) {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
-	had := sh.st.App(id) != nil || len(sh.st.eventsByApp[id]) > 0
-	sh.st.Forget(id)
+	had := sh.st.forget(id)
 	sh.stMu.Unlock()
 	if had && ss.met != nil {
 		ss.met.evicted.Inc()
@@ -629,26 +606,7 @@ func (ss *ShardedStream) EvictCompleted(keep int) int {
 	if keep < 0 {
 		keep = 0
 	}
-	var done []ids.AppID
-	for _, sh := range ss.shards {
-		sh.stMu.Lock()
-		for id, c := range sh.st.completed {
-			if c {
-				done = append(done, id)
-			}
-		}
-		sh.stMu.Unlock()
-	}
-	if len(done) <= keep {
-		return 0
-	}
-	sortAppIDsBySeq(done)
-	victims := done[:len(done)-keep]
-	for _, id := range victims {
-		ss.Forget(id)
-	}
-	ss.updateAppGauges()
-	return len(victims)
+	return ss.evictOldestOf(keep, func(st *Stream) int { return st.done }, (*Stream).completedIDs)
 }
 
 // EvictOldest forgets the oldest applications — complete or not — until
@@ -658,19 +616,33 @@ func (ss *ShardedStream) EvictOldest(max int) int {
 	if max < 0 {
 		return 0
 	}
-	var all []ids.AppID
+	return ss.evictOldestOf(max, func(st *Stream) int { return len(st.apps) }, (*Stream).appIDs)
+}
+
+// evictOldestOf forgets the oldest of the candidate apps each shard's
+// list yields until at most keep remain. The candidates are listed only
+// when their cross-shard count exceeds keep, and nothing is published.
+func (ss *ShardedStream) evictOldestOf(keep int, count func(*Stream) int, list func(*Stream) []ids.AppID) int {
+	n := 0
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		for _, a := range sh.st.Apps() {
-			all = append(all, a.ID)
-		}
+		n += count(sh.st)
 		sh.stMu.Unlock()
 	}
-	if len(all) <= max {
+	if n <= keep {
 		return 0
 	}
-	sortAppIDsBySeq(all)
-	victims := all[:len(all)-max]
+	var cands []ids.AppID
+	for _, sh := range ss.shards {
+		sh.stMu.Lock()
+		cands = append(cands, list(sh.st)...)
+		sh.stMu.Unlock()
+	}
+	if len(cands) <= keep {
+		return 0
+	}
+	sortAppIDsBySeq(cands)
+	victims := cands[:len(cands)-keep]
 	for _, id := range victims {
 		ss.Forget(id)
 	}
@@ -690,11 +662,7 @@ func (ss *ShardedStream) updateAppGauges() {
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
 		apps += len(sh.st.apps)
-		for _, c := range sh.st.completed {
-			if c {
-				done++
-			}
-		}
+		done += sh.st.done
 		sh.stMu.Unlock()
 	}
 	ss.met.completed.Set(int64(done))

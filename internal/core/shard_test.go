@@ -297,9 +297,32 @@ func TestShardedStreamInstrumented(t *testing.T) {
 	}
 }
 
+// walkTrace reads every field of a published trace the way -serve and
+// explain do, without any stream lock — so under -race, a feed that
+// mutated a published trace in place would be reported.
+func walkTrace(a *AppTrace) (n int64) {
+	n += a.Submitted + a.Registered + a.DriverRegister
+	if d := a.Decomp; d != nil {
+		n += d.Total + d.AM + d.Driver + d.Executor + int64(len(d.Anomalies))
+		for _, c := range d.Launchings {
+			n += c.MS
+		}
+	}
+	for _, c := range a.Containers {
+		n += c.Allocated + c.Running + c.FirstLog + c.FirstTask + int64(len(c.Node))
+		for _, e := range c.Events {
+			n += e.TimeMS
+		}
+	}
+	for _, e := range a.Events {
+		n += e.TimeMS + int64(e.Kind)
+	}
+	return n
+}
+
 // TestShardedStreamConcurrentHammer is the -race stress test: several
 // goroutines feed disjoint slices of the corpus while others hammer the
-// read and eviction surface. It asserts freedom from data races (via the
+// read and eviction surface, dereferencing the traces they read. It asserts freedom from data races (via the
 // race detector) and that the stream survives to a consistent final
 // state once feeders finish and evictions stop.
 func TestShardedStreamConcurrentHammer(t *testing.T) {
@@ -337,9 +360,14 @@ func TestShardedStreamConcurrentHammer(t *testing.T) {
 				}
 				_ = ss.EventCount()
 				_ = ss.LastEventMS()
-				_ = ss.Apps()
+				for _, a := range ss.Apps() {
+					walkTrace(a)
+				}
 				_ = ss.Complete(id)
-				_ = ss.App(id)
+				if a := ss.App(id); a != nil {
+					_ = SummarizeApp(a)
+					walkTrace(a)
+				}
 				_ = ss.Breakdown().Rows()
 				_ = ss.Report()
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -17,27 +18,25 @@ func singleLine(s string) io.Reader { return strings.NewReader(s) }
 // they are produced (a live cluster's `tail -f`, or a simulation pumping
 // events) and read current decompositions at any point. Unlike Checker,
 // which parses whole files, Stream accepts interleaved lines from many
-// sources and keeps per-application state up to date after every line.
+// sources, in any order across files.
+//
+// Each absorbed event is folded into its application's live state in
+// O(1) amortized (see appState), never by re-correlating the app. The
+// Correlate + Decompose view, an *AppTrace, is built only when it is
+// published: on the completion transition that fires OnComplete, and
+// when a changed app is read through App, Apps or Report. A published
+// trace is never mutated afterwards, so readers may keep and read it
+// without holding any lock of the stream's owner.
 //
 // Lines from container stderr files must be attributed to their
 // container; pass the file path (containing the container ID) as source,
 // exactly as the offline parser derives it.
 type Stream struct {
-	apps map[ids.AppID]*AppTrace
-	// firstLogSeen tracks containers whose FIRST_LOG was already taken,
-	// since a stream cannot re-read "the first line of the file".
-	firstLogSeen map[ids.ContainerID]bool
-	// eventsByApp buckets events so a feed only rebuilds its own app.
-	eventsByApp map[ids.AppID][]Event
-	total       int
-	// completed caches which apps have a fully observable headline
-	// decomposition (the Complete predicate), feeding the in-flight /
-	// completed gauges and the eviction policy.
-	completed map[ids.AppID]bool
-	// notified tracks apps whose completion hook already fired, so each
-	// application is delivered downstream exactly once even if later
-	// lines flip its Complete flag back and forth.
-	notified   map[ids.AppID]bool
+	apps  map[ids.AppID]*appState
+	total int
+	// done counts apps whose Complete predicate holds, feeding the
+	// in-flight / completed gauges without a walk over every app.
+	done       int
 	onComplete func(*AppTrace)
 	// lastMS is the max event timestamp absorbed — the stream's event
 	// clock, which downstream SLO evaluation advances on.
@@ -113,22 +112,16 @@ func (s *Stream) Instrument(reg *metrics.Registry) {
 
 // NewStream returns an empty incremental checker.
 func NewStream() *Stream {
-	return &Stream{
-		apps:         make(map[ids.AppID]*AppTrace),
-		firstLogSeen: make(map[ids.ContainerID]bool),
-		eventsByApp:  make(map[ids.AppID][]Event),
-		completed:    make(map[ids.AppID]bool),
-		notified:     make(map[ids.AppID]bool),
-	}
+	return &Stream{apps: make(map[ids.AppID]*appState)}
 }
 
 // OnComplete registers a hook called the first time an application's
 // decomposition becomes fully observable (the Complete predicate) — the
 // feed point for cluster-level aggregation and SLO evaluation. The hook
-// runs synchronously inside Feed with the freshly rebuilt trace; it must
-// not call back into the stream. Each application is delivered at most
-// once, even if degraded later input turns its decomposition partial and
-// complete again. Pass nil to remove the hook.
+// runs synchronously inside Feed with the freshly published trace; it
+// must not call back into the stream. Each application is delivered at
+// most once, even if degraded later input turns its decomposition
+// partial and complete again. Pass nil to remove the hook.
 func (s *Stream) OnComplete(fn func(*AppTrace)) { s.onComplete = fn }
 
 // Feed consumes one raw log line from the given source path. Unparseable
@@ -151,104 +144,83 @@ func (s *Stream) Feed(source, rawLine string) bool {
 
 func (s *Stream) feed(source, rawLine string) bool {
 	if referenceMatcher() {
-		p := NewParser()
-		p.met = s.pmet
-		if cidStr := reContainerInPath.FindString(source); cidStr != "" {
-			cid, err := ids.ParseContainerID(cidStr)
-			if err != nil {
-				return false
-			}
-			return s.feedContainerLine(p, source, cid, rawLine)
-		}
-		if err := p.ParseReader(source, singleLine(rawLine)); err != nil {
-			return false
-		}
-		return s.absorb(p.Events())
+		return s.absorbRouted(parseLineEvents(s.pmet, source, rawLine)) > 0
 	}
-	p := s.scratch
-	if p == nil {
-		p = NewParser()
-		s.scratch = p
+	if s.scratch == nil {
+		s.scratch = NewParser()
 	}
-	p.met = s.pmet
+	return s.absorbRouted(parseScratch(s.scratch, s.pmet, source, rawLine)) > 0
+}
+
+// parseScratch parses one line with the fast matcher into p's reusable
+// event slice and returns it, valid until p's next use. Dedup that
+// depends on stream state (FIRST_LOG, FIRST_TASK) is left to the
+// absorbing Stream.
+func parseScratch(p *Parser, pm *parserMetrics, source, raw string) []Event {
+	p.met = pm
 	p.events = p.events[:0]
 	if cid, found, err := fastFindContainerID(source); found {
-		if err != nil {
-			return false
+		if err != nil || !p.feedContainerSegments(source, cid, raw) {
+			return nil
 		}
-		if !p.feedContainerSegments(source, cid, rawLine) {
-			return false
-		}
-		if len(p.events) == 0 {
-			return false
-		}
-		return s.absorb(s.dedupContainerEvents(cid, p.events))
+		return p.events
 	}
-	if !p.feedDaemonSegments(source, rawLine) {
-		return false
+	if !p.feedDaemonSegments(source, raw) {
+		return nil
 	}
-	return s.absorb(p.events)
+	return p.events
 }
 
-// absorbRouted ingests pre-parsed events routed to this stream by a
-// ShardedStream worker, applying the same stateful dedup rules feed
-// applies: one FIRST_LOG per container, one FIRST_TASK per container.
-// It returns how many events were absorbed after dedup.
+// absorbRouted dedups one line's parsed events against stream state and
+// absorbs the survivors, returning how many were absorbed. It is the
+// entry point for both Feed and a ShardedStream worker. The slice is
+// filtered in place and not retained.
 func (s *Stream) absorbRouted(evs []Event) int {
-	out := make([]Event, 0, len(evs))
-	for _, e := range evs {
-		switch e.Kind {
-		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			if !e.Container.IsZero() {
-				if s.firstLogSeen[e.Container] {
-					continue
-				}
-				s.firstLogSeen[e.Container] = true
-			}
-		case FirstTask:
-			if a := s.apps[e.App]; a != nil {
-				if c := a.Container(e.Container); c != nil && c.FirstTask != 0 {
-					continue
-				}
-			}
-		}
-		out = append(out, e)
-	}
-	if !s.absorb(out) {
+	evs = s.dedup(evs)
+	if len(evs) == 0 {
 		return 0
 	}
-	return len(out)
+	for _, e := range evs {
+		s.app(e.App).fold(e)
+		s.total++
+		if e.TimeMS > s.lastMS {
+			s.lastMS = e.TimeMS
+		}
+	}
+	// Settle each touched application once, after the whole line, in
+	// first-touch order: completion is judged on the line's full effect.
+	for i, e := range evs {
+		if !slices.ContainsFunc(evs[:i], func(p Event) bool { return p.App == e.App }) {
+			s.settle(s.apps[e.App])
+		}
+	}
+	if s.met != nil {
+		s.met.events.Add(int64(len(evs)))
+		s.updateAppGauges()
+	}
+	return len(evs)
 }
 
-// feedContainerLine handles container stderr lines: the first parseable
-// line per container becomes its FIRST_LOG event.
-func (s *Stream) feedContainerLine(p *Parser, source string, cid ids.ContainerID, rawLine string) bool {
-	if err := p.parseContainerLog(source, cid, singleLine(rawLine)); err != nil {
-		return false
-	}
-	evs := p.Events()
-	if len(evs) == 0 {
-		return false
-	}
-	return s.absorb(s.dedupContainerEvents(cid, evs))
-}
-
-// dedupContainerEvents filters one container feed's events against
-// stream state, in place.
-func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event {
+// dedup drops, in place, the events stream state makes redundant: a
+// container's FIRST_LOG after its first (a stream cannot re-read "the
+// first line of the file"), and FIRST_TASK once the container has one
+// (the offline parser keeps one per file). The FIRST_TASK check runs
+// against the state before this line, as a per-file parse would.
+func (s *Stream) dedup(evs []Event) []Event {
 	out := evs[:0]
 	for _, e := range evs {
 		switch e.Kind {
 		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			if s.firstLogSeen[cid] {
-				continue // only the true first line counts
+			if !e.Container.IsZero() {
+				c := s.app(e.App).container(e.Container)
+				if c.firstLogSeen {
+					continue
+				}
+				c.firstLogSeen = true
 			}
-			s.firstLogSeen[cid] = true
 		case FirstTask:
-			// The offline parser dedups FIRST_TASK per file; do the same
-			// against current state.
-			if a := s.apps[cid.App]; a != nil {
-				if c := a.Container(cid); c != nil && c.FirstTask != 0 {
+			if st := s.apps[e.App]; st != nil {
+				if c := st.cons[e.Container]; c != nil && c.FirstTask != 0 {
 					continue
 				}
 			}
@@ -258,56 +230,45 @@ func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event 
 	return out
 }
 
-func (s *Stream) absorb(evs []Event) bool {
-	if len(evs) == 0 {
-		return false
+// app returns the live state for id, creating it on first sight.
+func (s *Stream) app(id ids.AppID) *appState {
+	st := s.apps[id]
+	if st == nil {
+		st = &appState{t: AppTrace{ID: id}, cons: make(map[ids.ContainerID]*conState)}
+		s.apps[id] = st
 	}
-	dirty := make(map[ids.AppID]bool, 2)
-	for _, e := range evs {
-		s.eventsByApp[e.App] = append(s.eventsByApp[e.App], e)
-		dirty[e.App] = true
-		s.total++
-		if e.TimeMS > s.lastMS {
-			s.lastMS = e.TimeMS
-		}
-	}
-	// Rebuild only the touched applications from their own buckets —
-	// feeds stay O(events of one app), independent of stream length.
-	for id := range dirty {
-		for _, a := range Correlate(s.eventsByApp[id]) {
-			Decompose(a)
-			s.apps[a.ID] = a
-			s.completed[a.ID] = s.Complete(a.ID)
-			if s.completed[a.ID] && !s.notified[a.ID] {
-				s.notified[a.ID] = true
-				if s.onComplete != nil {
-					s.pl.RecordHook(a.ID.String())
-					s.onComplete(a)
-				}
-			}
-		}
-	}
-	if s.met != nil {
-		s.met.events.Add(int64(len(evs)))
-		s.updateAppGauges()
-	}
-	return true
+	return st
 }
 
-// updateAppGauges refreshes the in-flight / completed app gauges from the
-// completion cache.
+// settle re-evaluates one application's Complete predicate after a fold
+// — from the folded inputs, without building its trace — and publishes
+// the trace to the completion hook on its first completion.
+func (s *Stream) settle(st *appState) {
+	was := st.complete
+	st.complete = st.completeNow()
+	switch {
+	case st.complete && !was:
+		s.done++
+	case was && !st.complete:
+		s.done--
+	}
+	if st.complete && !st.notified {
+		st.notified = true
+		if s.onComplete != nil {
+			a := st.view()
+			s.pl.RecordHook(a.ID.String())
+			s.onComplete(a)
+		}
+	}
+}
+
+// updateAppGauges refreshes the in-flight / completed app gauges.
 func (s *Stream) updateAppGauges() {
 	if s.met == nil {
 		return
 	}
-	done := 0
-	for _, c := range s.completed {
-		if c {
-			done++
-		}
-	}
-	s.met.completed.Set(int64(done))
-	s.met.inflight.Set(int64(len(s.apps) - done))
+	s.met.completed.Set(int64(s.done))
+	s.met.inflight.Set(int64(len(s.apps) - s.done))
 }
 
 // EventCount returns the number of scheduling events absorbed so far.
@@ -317,16 +278,22 @@ func (s *Stream) EventCount() int { return s.total }
 // before any event) — the stream's event clock.
 func (s *Stream) LastEventMS() int64 { return s.lastMS }
 
-// App returns the live trace for one application, or nil.
-func (s *Stream) App(id ids.AppID) *AppTrace { return s.apps[id] }
+// App returns the published trace for one application, or nil. The
+// trace is immutable; a later feed for the app publishes a new one.
+func (s *Stream) App(id ids.AppID) *AppTrace {
+	if st := s.apps[id]; st != nil {
+		return st.view()
+	}
+	return nil
+}
 
-// Apps returns the live traces ordered by submission sequence (ties —
-// possible only when garbage input mints several cluster timestamps —
+// Apps returns the published traces ordered by submission sequence (ties
+// — possible only when garbage input mints several cluster timestamps —
 // broken by cluster timestamp, so the order is deterministic).
 func (s *Stream) Apps() []*AppTrace {
 	out := make([]*AppTrace, 0, len(s.apps))
-	for _, a := range s.apps {
-		out = append(out, a)
+	for _, st := range s.apps {
+		out = append(out, st.view())
 	}
 	sortTracesBySeq(out)
 	return out
@@ -343,54 +310,85 @@ func (s *Stream) Quiesce() {}
 func (s *Stream) Close() {}
 
 // Report snapshots the current state into a full report (aggregates +
-// bug detection), like Checker.Analyze but reusable mid-stream. Events
-// are gathered per application in submission order and stable-sorted by
-// timestamp, so the report is deterministic for a given set of feeds —
-// and identical to what a ShardedStream fed the same lines reports.
+// bug detection), like Checker.Analyze but reusable mid-stream. It
+// publishes every changed app and gathers the events with gatherEvents,
+// so the report is deterministic for a given set of feeds — and
+// identical to what a ShardedStream fed the same lines reports.
 func (s *Stream) Report() *Report {
 	apps := s.Apps()
-	all := make([]Event, 0, s.total)
+	return ReportFrom(apps, gatherEvents(apps))
+}
+
+// gatherEvents concatenates the traces' time-ordered events and stable-
+// sorts them by timestamp: ties fall in trace order, then arrival order
+// within an application.
+func gatherEvents(apps []*AppTrace) []Event {
+	n := 0
 	for _, a := range apps {
-		all = append(all, s.eventsByApp[a.ID]...)
+		n += len(a.Events)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].TimeMS < all[j].TimeMS })
-	return ReportFrom(apps, all)
+	all := make([]Event, 0, n)
+	for _, a := range apps {
+		all = append(all, a.Events...)
+	}
+	out := make([]Event, len(all))
+	for k, i := range timeOrder(all) {
+		out[k] = all[i]
+	}
+	return out
 }
 
 // Complete reports whether an application's headline decomposition is
 // fully observable and anomaly-free (the Decomposition.Complete flag) —
 // the signal a live dashboard uses to mark a row final.
 func (s *Stream) Complete(id ids.AppID) bool {
-	a := s.apps[id]
-	if a == nil || a.Decomp == nil {
-		return false
-	}
-	return a.Decomp.Complete
+	st := s.apps[id]
+	return st != nil && st.complete
 }
 
-// Forget drops all state for one application: its trace, its event
-// bucket, and the FIRST_LOG dedup entries of its containers. Long-running
+// Forget drops all state for one application: its folded state, its
+// events, and the FIRST_LOG dedup marks of its containers. Long-running
 // feeds (sdchecker -serve) call this for finished apps so memory tracks
 // the live working set, not the full history.
-func (s *Stream) Forget(id ids.AppID) {
-	if _, ok := s.apps[id]; !ok && len(s.eventsByApp[id]) == 0 {
-		return
+func (s *Stream) Forget(id ids.AppID) { s.forget(id) }
+
+// forget is Forget reporting whether the app was tracked.
+func (s *Stream) forget(id ids.AppID) bool {
+	st := s.apps[id]
+	if st == nil {
+		return false
 	}
-	s.total -= len(s.eventsByApp[id])
+	s.total -= len(st.events)
+	if st.complete {
+		s.done--
+	}
 	delete(s.apps, id)
-	delete(s.eventsByApp, id)
-	delete(s.completed, id)
-	delete(s.notified, id)
-	for cid := range s.firstLogSeen {
-		if cid.App == id {
-			delete(s.firstLogSeen, cid)
-		}
-	}
 	s.pl.RecordEvict(id.String())
 	if s.met != nil {
 		s.met.evicted.Inc()
 		s.updateAppGauges()
 	}
+	return true
+}
+
+// completedIDs lists the applications whose Complete predicate holds.
+func (s *Stream) completedIDs() []ids.AppID {
+	out := make([]ids.AppID, 0, s.done)
+	for id, st := range s.apps {
+		if st.complete {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// appIDs lists every tracked application.
+func (s *Stream) appIDs() []ids.AppID {
+	out := make([]ids.AppID, 0, len(s.apps))
+	for id := range s.apps {
+		out = append(out, id)
+	}
+	return out
 }
 
 // EvictCompleted forgets completed applications, oldest submission first,
@@ -401,21 +399,10 @@ func (s *Stream) EvictCompleted(keep int) int {
 	if keep < 0 {
 		keep = 0
 	}
-	var done []ids.AppID
-	for id, c := range s.completed {
-		if c {
-			done = append(done, id)
-		}
-	}
-	if len(done) <= keep {
+	if s.done <= keep {
 		return 0
 	}
-	sortAppIDsBySeq(done)
-	victims := done[:len(done)-keep]
-	for _, id := range victims {
-		s.Forget(id)
-	}
-	return len(victims)
+	return s.evictOldestOf(s.completedIDs(), keep)
 }
 
 // EvictOldest is the hard memory bound behind EvictCompleted: when more
@@ -427,14 +414,15 @@ func (s *Stream) EvictOldest(max int) int {
 	if max < 0 || len(s.apps) <= max {
 		return 0
 	}
-	all := make([]ids.AppID, 0, len(s.apps))
-	for id := range s.apps {
-		all = append(all, id)
-	}
-	sortAppIDsBySeq(all)
-	victims := all[:len(all)-max]
+	return s.evictOldestOf(s.appIDs(), max)
+}
+
+// evictOldestOf forgets all but the keep newest of the given apps.
+func (s *Stream) evictOldestOf(cands []ids.AppID, keep int) int {
+	sortAppIDsBySeq(cands)
+	victims := cands[:len(cands)-keep]
 	for _, id := range victims {
-		s.Forget(id)
+		s.forget(id)
 	}
 	return len(victims)
 }
@@ -442,20 +430,17 @@ func (s *Stream) EvictOldest(max int) int {
 // sortAppIDsBySeq orders application IDs by submission sequence, ties
 // (distinct cluster timestamps, garbage input only) by cluster timestamp.
 func sortAppIDsBySeq(a []ids.AppID) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].Seq != a[j].Seq {
-			return a[i].Seq < a[j].Seq
-		}
-		return a[i].ClusterTS < a[j].ClusterTS
-	})
+	slices.SortFunc(a, cmpAppID)
 }
 
 // sortTracesBySeq orders traces the same way sortAppIDsBySeq orders IDs.
 func sortTracesBySeq(out []*AppTrace) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Seq != out[j].ID.Seq {
-			return out[i].ID.Seq < out[j].ID.Seq
-		}
-		return out[i].ID.ClusterTS < out[j].ID.ClusterTS
-	})
+	slices.SortFunc(out, func(x, y *AppTrace) int { return cmpAppID(x.ID, y.ID) })
+}
+
+func cmpAppID(x, y ids.AppID) int {
+	if c := cmp.Compare(x.Seq, y.Seq); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.ClusterTS, y.ClusterTS)
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -31,6 +32,10 @@ type ContainerTrace struct {
 	Lost          int64 // RMContainerImpl -> KILLED (node lost)
 
 	Events []Event
+
+	// nodeMS and instanceMS stamp the events Node and Instance came
+	// from, so an earlier-stamped late arrival can replace them.
+	nodeMS, instanceMS int64
 }
 
 // IsAM reports whether this container hosted the ApplicationMaster.
@@ -69,6 +74,10 @@ type AppTrace struct {
 	Decomp *Decomposition // filled by Decompose
 
 	byCID map[ids.ContainerID]*ContainerTrace
+	// summarized and summaryMS record whether, and from which event
+	// timestamp, Name/AppType/Queue were set (see foldEvent).
+	summarized bool
+	summaryMS  int64
 }
 
 // Container returns the trace for cid, or nil.
@@ -122,107 +131,138 @@ func (a *AppTrace) WorkerContainers() []*ContainerTrace {
 // them by timestamp, and returns one AppTrace per application sorted by
 // submission sequence (§III-C: "binds each log event with its
 // corresponding global ID ... aggregates and groups state transformations
-// based on the IDs").
+// based on the IDs"). It is the batch form of the live Stream's fold:
+// both apply foldEvent, so they derive the same fields.
 func Correlate(events []Event) []*AppTrace {
 	apps := make(map[ids.AppID]*AppTrace)
-	get := func(id ids.AppID) *AppTrace {
-		a := apps[id]
+
+	// Events can arrive in any order across files; walk them in time
+	// order so the trace's event lists and container first-observation
+	// order are time-ordered, ties in input order.
+	for _, i := range timeOrder(events) {
+		e := events[i]
+		a := apps[e.App]
 		if a == nil {
-			a = &AppTrace{ID: id, byCID: make(map[ids.ContainerID]*ContainerTrace)}
-			apps[id] = a
+			a = &AppTrace{ID: e.App, byCID: make(map[ids.ContainerID]*ContainerTrace)}
+			apps[e.App] = a
 		}
-		return a
-	}
-	getC := func(a *AppTrace, cid ids.ContainerID) *ContainerTrace {
-		c := a.byCID[cid]
-		if c == nil {
-			c = &ContainerTrace{ID: cid}
-			a.byCID[cid] = c
-			a.Containers = append(a.Containers, c)
-		}
-		return c
-	}
-
-	// Events can arrive in any order across files; sort first so "first
-	// occurrence wins" rules below are well-defined.
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TimeMS < sorted[j].TimeMS })
-
-	setOnce := func(dst *int64, v int64) {
-		if *dst == 0 {
-			*dst = v
-		}
-	}
-
-	for _, e := range sorted {
-		a := get(e.App)
 		a.Events = append(a.Events, e)
-		if e.Container.IsZero() {
-			switch e.Kind {
-			case AppSubmitted0:
-				if a.Name == "" {
-					a.Name, a.AppType, a.Queue = e.Name, e.AppType, e.Queue
-				}
-			case AppSubmitted:
-				setOnce(&a.Submitted, e.TimeMS)
-			case AppAccepted:
-				setOnce(&a.Accepted, e.TimeMS)
-			case AttemptRegistered:
-				setOnce(&a.Registered, e.TimeMS)
-			case AppFinished:
-				setOnce(&a.Finished, e.TimeMS)
+		var c *ContainerTrace
+		if !e.Container.IsZero() {
+			c = a.byCID[e.Container]
+			if c == nil {
+				c = &ContainerTrace{ID: e.Container}
+				a.byCID[e.Container] = c
+				a.Containers = append(a.Containers, c)
 			}
-			continue
+			c.Events = append(c.Events, e)
 		}
-		c := getC(a, e.Container)
-		c.Events = append(c.Events, e)
-		if c.Node == "" && e.Node != "" {
-			c.Node = e.Node
-		}
-		switch e.Kind {
-		case ContAllocated:
-			setOnce(&c.Allocated, e.TimeMS)
-		case ContAcquired:
-			setOnce(&c.Acquired, e.TimeMS)
-		case ContLocalizing:
-			setOnce(&c.Localizing, e.TimeMS)
-		case ContScheduled:
-			setOnce(&c.Scheduled, e.TimeMS)
-		case LaunchInvoked:
-			setOnce(&c.LaunchInvoked, e.TimeMS)
-		case ContRunning:
-			setOnce(&c.Running, e.TimeMS)
-		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			setOnce(&c.FirstLog, e.TimeMS)
-			if c.Instance == InstUnknown {
-				c.Instance = e.Instance
-			}
-		case FirstTask:
-			setOnce(&c.FirstTask, e.TimeMS)
-		case ContExited:
-			setOnce(&c.Exited, e.TimeMS)
-		case ContReleased:
-			setOnce(&c.Released, e.TimeMS)
-		case ContLost:
-			setOnce(&c.Lost, e.TimeMS)
-		case OppQueued:
-			setOnce(&c.OppQueuedAt, e.TimeMS)
-		case DriverRegister:
-			setOnce(&a.DriverRegister, e.TimeMS)
-		case StartAllo:
-			setOnce(&a.StartAllo, e.TimeMS)
-		case EndAllo:
-			setOnce(&a.EndAllo, e.TimeMS)
-		}
+		foldEvent(a, c, e)
 	}
 
 	out := make([]*AppTrace, 0, len(apps))
 	for _, a := range apps {
 		// Stable: containers sharing a number (AM retries across attempts)
 		// keep first-observation order, so output is deterministic.
-		sort.SliceStable(a.Containers, func(i, j int) bool { return a.Containers[i].ID.Num < a.Containers[j].ID.Num })
+		slices.SortStableFunc(a.Containers, byContainerNum)
 		out = append(out, a)
 	}
 	sortTracesBySeq(out)
 	return out
+}
+
+// timeOrder returns the permutation that stable-sorts events by
+// timestamp, ties in input order. Sorting indices rather than the events
+// keeps the sort from moving large structs.
+func timeOrder(events []Event) []int32 {
+	perm := make([]int32, len(events))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
+	return perm
+}
+
+// byContainerNum orders container traces by container number.
+func byContainerNum(x, y *ContainerTrace) int { return cmp.Compare(x.ID.Num, y.ID.Num) }
+
+// earliest keeps the earliest observation of a timestamp field: 0 means
+// unobserved, and a later-arriving but earlier-stamped event wins.
+func earliest(dst *int64, v int64) {
+	if v != 0 && (*dst == 0 || v < *dst) {
+		*dst = v
+	}
+}
+
+// foldEvent applies one event's first-occurrence rules to its
+// application a and container c (nil for application-level events).
+// It is the one rule set behind both Correlate and the live Stream.
+//
+// e must arrive after every event already folded into a and c, and the
+// earliest (TimeMS, arrival) observation wins: timestamp fields keep
+// their earliest nonzero value, Node and Instance their earliest
+// non-empty one, and a submission summary carrying a name beats every
+// later-stamped one (until a named summary arrives, the latest unnamed
+// one supplies type and queue). Folding a set of events in any arrival
+// order therefore gives what folding them in time order gives, which is
+// what lets the stream absorb out-of-order lines in O(1).
+func foldEvent(a *AppTrace, c *ContainerTrace, e Event) {
+	if c == nil {
+		switch e.Kind {
+		case AppSubmitted0:
+			if !a.summarized ||
+				e.Name != "" && (a.Name == "" || e.TimeMS < a.summaryMS) ||
+				e.Name == "" && a.Name == "" && e.TimeMS >= a.summaryMS {
+				a.Name, a.AppType, a.Queue = e.Name, e.AppType, e.Queue
+				a.summarized, a.summaryMS = true, e.TimeMS
+			}
+		case AppSubmitted:
+			earliest(&a.Submitted, e.TimeMS)
+		case AppAccepted:
+			earliest(&a.Accepted, e.TimeMS)
+		case AttemptRegistered:
+			earliest(&a.Registered, e.TimeMS)
+		case AppFinished:
+			earliest(&a.Finished, e.TimeMS)
+		}
+		return
+	}
+	if e.Node != "" && (c.Node == "" || e.TimeMS < c.nodeMS) {
+		c.Node, c.nodeMS = e.Node, e.TimeMS
+	}
+	switch e.Kind {
+	case ContAllocated:
+		earliest(&c.Allocated, e.TimeMS)
+	case ContAcquired:
+		earliest(&c.Acquired, e.TimeMS)
+	case ContLocalizing:
+		earliest(&c.Localizing, e.TimeMS)
+	case ContScheduled:
+		earliest(&c.Scheduled, e.TimeMS)
+	case LaunchInvoked:
+		earliest(&c.LaunchInvoked, e.TimeMS)
+	case ContRunning:
+		earliest(&c.Running, e.TimeMS)
+	case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
+		earliest(&c.FirstLog, e.TimeMS)
+		if e.Instance != InstUnknown && (c.Instance == InstUnknown || e.TimeMS < c.instanceMS) {
+			c.Instance, c.instanceMS = e.Instance, e.TimeMS
+		}
+	case FirstTask:
+		earliest(&c.FirstTask, e.TimeMS)
+	case ContExited:
+		earliest(&c.Exited, e.TimeMS)
+	case ContReleased:
+		earliest(&c.Released, e.TimeMS)
+	case ContLost:
+		earliest(&c.Lost, e.TimeMS)
+	case OppQueued:
+		earliest(&c.OppQueuedAt, e.TimeMS)
+	case DriverRegister:
+		earliest(&a.DriverRegister, e.TimeMS)
+	case StartAllo:
+		earliest(&a.StartAllo, e.TimeMS)
+	case EndAllo:
+		earliest(&a.EndAllo, e.TimeMS)
+	}
 }

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -36,6 +37,13 @@ type OracleInput struct {
 // matcher and the retained regex reference render byte-identical
 // reports, and — when ground truth is supplied — that the mined spans
 // are contained in the simulator's recorded spans.
+//
+// Streams are fed in two orders: file by file, and a seeded cross-file
+// interleaving that keeps each file's own order (a live tail of many
+// files, whose events arrive out of time order). The interleaved serial
+// stream must render the file-order report; its completion-hook
+// attribution, which sees apps at the moment they complete, is the
+// reference for the interleaved sharded streams.
 type DiffOracle struct {
 	// Workers are the parallel worker counts to diff (default 2, 3, 8).
 	Workers []int
@@ -83,6 +91,25 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 	stAttr, err := refBD.AttributionJSON()
 	if err != nil {
 		t.Fatalf("%s: serial stream attribution JSON: %v", in.Name, err)
+	}
+
+	// Reference: the serial stream fed the seeded interleaving. The final
+	// report depends only on the lines, not on their arrival order.
+	mixed := interleave(in.Sink, 1)
+	st = core.NewStream()
+	mixedBD := core.NewClusterBreakdown()
+	st.OnComplete(func(a *core.AppTrace) { mixedBD.Observe(a) })
+	for _, l := range mixed {
+		st.Feed(l.file, l.text)
+	}
+	if got, err := st.Report().JSON(); err != nil {
+		t.Fatalf("%s: interleaved stream JSON: %v", in.Name, err)
+	} else if got != stJSON {
+		t.Errorf("%s: stream fed an interleaved tail diverges from the file-order stream", in.Name)
+	}
+	mixedAttr, err := mixedBD.AttributionJSON()
+	if err != nil {
+		t.Fatalf("%s: interleaved stream attribution JSON: %v", in.Name, err)
 	}
 
 	// Cross-implementation diff: the whole suite above ran on the
@@ -148,30 +175,15 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		}
 
 		// Parallel streaming == serial streaming, byte for byte, with a
-		// lossless sketch merge.
-		ss := core.NewShardedStream(w)
+		// lossless sketch merge, in both feed orders.
+		var fileOrder []line
 		for _, f := range in.Sink.Files() {
 			for _, l := range in.Sink.Lines(f) {
-				ss.Feed(f, l)
+				fileOrder = append(fileOrder, line{f, l})
 			}
 		}
-		ss.Quiesce()
-		sgot, err := ss.Report().JSON()
-		if err != nil {
-			t.Fatalf("%s: ShardedStream(workers=%d) JSON: %v", in.Name, w, err)
-		}
-		if sgot != stJSON {
-			t.Errorf("%s: ShardedStream(workers=%d) diverges from serial stream", in.Name, w)
-		}
-		if !reflect.DeepEqual(ss.Breakdown().Rows(), refBD.Rows()) {
-			t.Errorf("%s: ShardedStream(workers=%d) merged breakdown diverges from serial hook sketch", in.Name, w)
-		}
-		if attr, err := ss.Breakdown().AttributionJSON(); err != nil {
-			t.Fatalf("%s: ShardedStream(workers=%d) attribution JSON: %v", in.Name, w, err)
-		} else if attr != stAttr {
-			t.Errorf("%s: ShardedStream(workers=%d) attribution diverges from serial stream", in.Name, w)
-		}
-		ss.Close()
+		o.checkSharded(t, in.Name+" (file order)", w, fileOrder, stJSON, refBD, stAttr)
+		o.checkSharded(t, in.Name+" (interleaved)", w, mixed, stJSON, mixedBD, mixedAttr)
 	}
 
 	if in.Truth != nil {
@@ -191,6 +203,59 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		}
 	}
 	return ref
+}
+
+// checkSharded feeds lines to a ShardedStream with w workers and diffs
+// its report, merged breakdown rows and attribution against the serial
+// stream's.
+func (o DiffOracle) checkSharded(t testing.TB, name string, w int, lines []line, wantJSON string, wantBD *core.ClusterBreakdown, wantAttr string) {
+	t.Helper()
+	ss := core.NewShardedStream(w)
+	defer ss.Close()
+	for _, l := range lines {
+		ss.Feed(l.file, l.text)
+	}
+	ss.Quiesce()
+	got, err := ss.Report().JSON()
+	if err != nil {
+		t.Fatalf("%s: ShardedStream(workers=%d) JSON: %v", name, w, err)
+	}
+	if got != wantJSON {
+		t.Errorf("%s: ShardedStream(workers=%d) diverges from serial stream", name, w)
+	}
+	if !reflect.DeepEqual(ss.Breakdown().Rows(), wantBD.Rows()) {
+		t.Errorf("%s: ShardedStream(workers=%d) merged breakdown diverges from serial hook sketch", name, w)
+	}
+	if attr, err := ss.Breakdown().AttributionJSON(); err != nil {
+		t.Fatalf("%s: ShardedStream(workers=%d) attribution JSON: %v", name, w, err)
+	} else if attr != wantAttr {
+		t.Errorf("%s: ShardedStream(workers=%d) attribution diverges from serial stream", name, w)
+	}
+}
+
+// line is one log line and the file it belongs to.
+type line struct{ file, text string }
+
+// interleave merges the sink's files line by line in a seeded random
+// order that keeps each file's own line order.
+func interleave(sink *log4j.Sink, seed int64) []line {
+	files := append([]string(nil), sink.Files()...)
+	next := make(map[string]int, len(files))
+	rng := rand.New(rand.NewSource(seed))
+	var out []line
+	for len(files) > 0 {
+		i := rng.Intn(len(files))
+		f := files[i]
+		lines := sink.Lines(f)
+		if next[f] < len(lines) {
+			out = append(out, line{f, lines[next[f]]})
+			next[f]++
+		}
+		if next[f] == len(lines) {
+			files = append(files[:i], files[i+1:]...)
+		}
+	}
+	return out
 }
 
 // checkContainment verifies every mined delay-component span falls
