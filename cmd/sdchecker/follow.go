@@ -2,12 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -59,6 +61,7 @@ type dirScanner struct {
 	dir     string
 	st      ingestStream
 	offsets map[string]int64
+	buf     []byte // read buffer, reused across files and scans
 	// pl, when set, times each scan's read phase (walk + drain) as one
 	// StageRead batch — per scan, never per line.
 	pl *obs.Pipeline
@@ -121,8 +124,20 @@ func followDir(dir string, workers int) error {
 	}
 }
 
-// drainFile feeds any bytes appended since the recorded offset. It
-// returns how many lines were fed.
+// Line limits of drainFile, matching the offline miner's scanner: a
+// line of maxLineBytes or more is an error; reads are offered at least
+// readChunk bytes of buffer.
+const (
+	maxLineBytes = 4 << 20
+	readChunk    = 64 << 10
+)
+
+// drainFile feeds the complete lines appended since the recorded offset
+// and returns how many of them yielded events. Lines split like the
+// offline miner's: on '\n', with one trailing '\r' dropped. A final
+// line without its '\n' is left unread: the offset advances only past
+// the last '\n' consumed, so the next scan reads the line again, whole,
+// once its writer has finished it.
 func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -140,17 +155,46 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return 0, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	fed := 0
-	read := off
-	for sc.Scan() {
-		line := sc.Text()
-		read += int64(len(line)) + 1
-		if s.st.Feed(rel, line) {
-			fed++
+	buf := s.buf[:0] // unconsumed bytes: at most one partial line
+	defer func() {
+		s.offsets[rel] = off
+		s.buf = buf[:0]
+	}()
+	for {
+		if cap(buf)-len(buf) < readChunk {
+			buf = slices.Grow(buf, readChunk)
+		}
+		n, rerr := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		done := 0
+		for {
+			nl := bytes.IndexByte(buf[done:], '\n')
+			if nl < 0 {
+				break
+			}
+			if nl >= maxLineBytes {
+				return fed, bufio.ErrTooLong
+			}
+			line := buf[done : done+nl]
+			if len(line) > 0 && line[len(line)-1] == '\r' {
+				line = line[:len(line)-1]
+			}
+			if s.st.Feed(rel, string(line)) {
+				fed++
+			}
+			done += nl + 1
+			off += int64(nl + 1)
+		}
+		buf = buf[:copy(buf, buf[done:])]
+		if len(buf) >= maxLineBytes {
+			return fed, bufio.ErrTooLong
+		}
+		if rerr == io.EOF {
+			return fed, nil
+		}
+		if rerr != nil {
+			return fed, rerr
 		}
 	}
-	s.offsets[rel] = read
-	return fed, sc.Err()
 }

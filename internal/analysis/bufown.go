@@ -13,8 +13,7 @@ import (
 
 // BufOwn proves the zero-copy scan discipline: no string or []byte
 // derived from a reusable scan buffer (a manifest-declared source such
-// as blobWriter.String, whose result segmentIter slices into line
-// views) may be stored into heap-lived state — a package variable, a
+// as fileBuf.String, whose result segmentIter slices into line views) may be stored into heap-lived state — a package variable, a
 // map, a channel send, or a struct that outlives the call — without
 // passing through a sanctioned clone site (strings.Clone and friends,
 // or a clone guarded by a declared gate such as cloneMined).

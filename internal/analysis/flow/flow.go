@@ -58,7 +58,7 @@ const maxInputs = 62
 // Config declares the ownership contract the engine enforces.
 type Config struct {
 	// IsSource reports whether calling fn yields a value whose backing
-	// memory is owned by a reusable buffer (e.g. blobWriter.String).
+	// memory is owned by a reusable buffer (e.g. fileBuf.String).
 	IsSource func(fn *types.Func) bool
 
 	// IsCloner reports whether fn's results copy their inputs' bytes
@@ -1008,10 +1008,18 @@ func (w *walker) expr(e ast.Expr) uint64 {
 			return 0
 		}
 		root, field := w.rootOf(e)
+		var m uint64
 		if root == nil {
-			return w.expr(e.X)
+			m = w.expr(e.X)
+		} else {
+			m = w.readField(root, field)
 		}
-		return w.readField(root, field)
+		// A scalar field shares no memory, whatever its struct holds —
+		// the field-level twin of the identifier rule above.
+		if tv, ok := w.info.Types[e]; ok && !carriesRef(tv.Type) {
+			return 0
+		}
+		return m
 	case *ast.ParenExpr:
 		return w.expr(e.X)
 	case *ast.StarExpr:

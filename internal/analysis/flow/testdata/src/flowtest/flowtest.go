@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// buf mimics blobWriter: a reusable scan buffer whose String result
+// buf mimics fileBuf: a reusable scan buffer whose String result
 // aliases memory the next scan will overwrite.
 type buf struct{ b []byte }
 
@@ -23,10 +23,15 @@ var sinkCh = make(chan string, 1)
 type rec struct {
 	Class string
 	Msg   string
+	At    int64
 }
+
+// parseRec returns a rec whose strings alias s (whole-struct result).
+func parseRec(s string) rec { return rec{Class: s[:1], Msg: s[1:], At: int64(len(s))} }
 
 type keeper struct {
 	lines []string
+	recs  []rec
 	gate  bool
 }
 
@@ -76,6 +81,11 @@ func BadFieldOther(b *buf, k *keeper) {
 	r := rec{Msg: b.String(), Class: b.String()}
 	r.Msg = strings.Clone(r.Msg)
 	k.keep(r.Class) // Class was never cloned
+}
+
+func BadWholeStructField(b *buf, k *keeper) {
+	r := parseRec(b.String())
+	k.keep(r.Msg) // a string field of a whole-assigned local still aliases
 }
 
 func BadUngated(b *buf, k *keeper) {
@@ -139,6 +149,13 @@ func GoodFieldClone(b *buf, k *keeper) {
 // GoodNamedResult regresses the named-result bug: seg is declared in
 // the signature, not the body, but it is frame-local — assigning a view
 // to it is a flow to the caller, not a store into a package variable.
+// GoodScalarField reads only a scalar field of a local whose strings
+// alias the buffer: an int64 carries no memory.
+func GoodScalarField(b *buf, k *keeper) {
+	r := parseRec(b.String())
+	k.recs = append(k.recs, rec{Class: "x", At: r.At})
+}
+
 func GoodNamedResult(b *buf) (seg string) {
 	seg = b.String()
 	return

@@ -87,18 +87,18 @@ type mutCase struct {
 }
 
 const ownNoGates = `{"version":1,"packages":[],
-  "sources":[{"recv":"blobWriter","func":"String"}],
+  "sources":[{"recv":"fileBuf","func":"String"}],
   "cloners":[{"pkg":"strings","func":"Clone"},{"pkg":"fmt","func":"Sprintf"}],
   "gates":[]}`
 
 const ownNoCloners = `{"version":1,"packages":[],
-  "sources":[{"recv":"blobWriter","func":"String"}],
+  "sources":[{"recv":"fileBuf","func":"String"}],
   "cloners":[],
   "gates":["cloneMined"]}`
 
 func mutationCases() []mutCase {
 	return []mutCase{
-		// --- flow.bufown: the clone discipline, broken eight ways ---
+		// --- flow.bufown: the clone discipline, broken ten ways ---
 		{name: "bufown-drop-msg-clone", analyzer: BufOwn, file: "good.go",
 			old: "msg = strings.Clone(msg)", new: "_ = msg",
 			want: "passed to mine"},
@@ -106,7 +106,7 @@ func mutationCases() []mutCase {
 			old: "ln.Class = strings.Clone(ln.Class)", new: "_ = ln.Class",
 			want: "passed to mine"},
 		{name: "bufown-ungated-clone", analyzer: BufOwn, file: "good.go",
-			old: "if p.cloneMined {", new: "if len(msg) > 1 {",
+			old: "if p.cloneMined {\n\t\tmsg = strings.Clone(msg)", new: "if len(msg) > 1 {\n\t\tmsg = strings.Clone(msg)",
 			want: "passed to mine"},
 		{name: "bufown-warn-raw", analyzer: BufOwn, file: "good.go",
 			old: `p.warnf("empty blob: %s", raw)`, new: "p.warns = append(p.warns, raw)",
@@ -118,6 +118,12 @@ func mutationCases() []mutCase {
 		{name: "bufown-bypass-miner", analyzer: BufOwn, file: "good.go",
 			old: "p.mine(ln)", new: "p.emit(event{Raw: ln.Message})",
 			want: "passed to emit"},
+		{name: "bufown-drop-first-line-clone", analyzer: BufOwn, file: "good.go",
+			old: "class, msg = strings.Clone(class), strings.Clone(msg)", new: "_ = msg",
+			want: "passed to finish"},
+		{name: "bufown-partial-first-line-clone", analyzer: BufOwn, file: "good.go",
+			old: "class, msg = strings.Clone(class), strings.Clone(msg)", new: "class = strings.Clone(class)",
+			want: "passed to finish"},
 		{name: "bufown-manifest-no-gates", analyzer: BufOwn,
 			manifest: ownNoGates, want: "passed to mine"},
 		{name: "bufown-manifest-no-cloners", analyzer: BufOwn,

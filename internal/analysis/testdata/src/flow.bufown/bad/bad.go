@@ -5,9 +5,9 @@ package bad
 
 import "strings"
 
-type blobWriter struct{ buf []byte }
+type fileBuf struct{ buf []byte }
 
-func (w *blobWriter) String() string { return string(w.buf) }
+func (w *fileBuf) String() string { return string(w.buf) }
 
 type event struct {
 	Class string
@@ -30,18 +30,18 @@ var cache = map[string]string{}
 var ch = make(chan string, 1)
 
 // mutant 1: store a buffer view straight into a package variable.
-func scanGlobal(w *blobWriter) {
+func scanGlobal(w *fileBuf) {
 	lastRaw = w.String() // want `stored into package variable lastRaw`
 }
 
 // mutant 2: store into a map that outlives every frame.
-func scanMap(w *blobWriter) {
+func scanMap(w *fileBuf) {
 	raw := w.String()
 	cache["last"] = raw // want `element store of package variable cache`
 }
 
 // mutant 3: send the view to another goroutine.
-func scanChan(w *blobWriter) {
+func scanChan(w *fileBuf) {
 	raw := w.String()
 	ch <- raw // want `sent on a channel`
 }
@@ -49,14 +49,14 @@ func scanChan(w *blobWriter) {
 func retain(s string) { lastRaw = s }
 
 // mutant 4: the retention hides behind a helper call.
-func scanHelper(w *blobWriter) {
+func scanHelper(w *fileBuf) {
 	retain(w.String()) // want `passed to retain`
 }
 
 func stash(s string) { retain(s) }
 
 // mutant 5: two hops deep.
-func scanTwoHops(w *blobWriter) {
+func scanTwoHops(w *fileBuf) {
 	stash(w.String()) // want `passed to stash`
 }
 
@@ -65,7 +65,7 @@ func (p *parser) mineNoClone(ln line) {
 }
 
 // mutant 6: the clone site was deleted outright.
-func (p *parser) scanNoClone(w *blobWriter) {
+func (p *parser) scanNoClone(w *fileBuf) {
 	raw := w.String()
 	ln := line{Class: raw[:1], Message: raw[1:]}
 	p.mineNoClone(ln) // want `passed to mineNoClone`
@@ -73,7 +73,7 @@ func (p *parser) scanNoClone(w *blobWriter) {
 
 // mutant 7: the clone runs under a condition that is not a declared
 // gate, so on the other branch the view is retained raw.
-func (p *parser) scanWrongGate(w *blobWriter) {
+func (p *parser) scanWrongGate(w *fileBuf) {
 	msg := w.String()
 	if p.flag {
 		msg = strings.Clone(msg)
@@ -89,14 +89,14 @@ func (p *parser) minePartial(ln line) {
 }
 
 // mutant 8: only one of the two retained fields is cloned.
-func (p *parser) scanPartial(w *blobWriter) {
+func (p *parser) scanPartial(w *fileBuf) {
 	raw := w.String()
 	ln := line{Class: raw[:1], Message: raw[1:]}
 	p.minePartial(ln) // want `passed to minePartial`
 }
 
 // mutant 9: the view escapes through a deferred closure.
-func scanDeferred(w *blobWriter) {
+func scanDeferred(w *fileBuf) {
 	raw := w.String()
 	defer func() {
 		lastRaw = raw // want `stored into package variable lastRaw`
@@ -104,7 +104,7 @@ func scanDeferred(w *blobWriter) {
 }
 
 // mutant 10: a substring of the view still aliases the buffer.
-func scanSlice(w *blobWriter) {
+func scanSlice(w *fileBuf) {
 	raw := w.String()
 	if len(raw) > 2 {
 		cache["head"] = raw[:2] // want `element store of package variable cache`

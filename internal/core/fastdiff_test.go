@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/log4j"
 	"repro/internal/metrics"
@@ -27,13 +30,13 @@ var diffSources = []string{
 
 // parseUnder runs one offline parse with the chosen matcher and returns
 // every observable output.
-func parseUnder(ref bool, name string, data []byte) (evs []Event, warns []string, errStr string, hits map[string]int64) {
+func parseUnder(ref bool, name string, r io.Reader) (evs []Event, warns []string, errStr string, hits map[string]int64) {
 	restore := UseReferenceMatcher(ref)
 	defer restore()
 	p := NewParser()
 	reg := metrics.NewRegistry()
 	p.Instrument(reg)
-	if err := p.ParseReader(name, bytes.NewReader(data)); err != nil {
+	if err := p.ParseReader(name, r); err != nil {
 		errStr = err.Error()
 	}
 	hits = make(map[string]int64, len(regexNames)+1)
@@ -48,8 +51,16 @@ func parseUnder(ref bool, name string, data []byte) (evs []Event, warns []string
 // one input file.
 func diffParsers(t *testing.T, name string, data []byte) {
 	t.Helper()
-	fe, fw, ferr, fh := parseUnder(false, name, data)
-	re, rw, rerr, rh := parseUnder(true, name, data)
+	diffParsersOn(t, name, data, bytes.NewReader)
+}
+
+// diffParsersOn is diffParsers reading through open(data), called once
+// per matcher, so a stateful reader splits or fails the reads of both
+// the same way.
+func diffParsersOn[R io.Reader](t *testing.T, name string, data []byte, open func([]byte) R) {
+	t.Helper()
+	fe, fw, ferr, fh := parseUnder(false, name, open(data))
+	re, rw, rerr, rh := parseUnder(true, name, open(data))
 	if ferr != rerr {
 		t.Fatalf("%s: error diverges: fast=%q regex=%q", name, ferr, rerr)
 	}
@@ -149,3 +160,105 @@ func TestFastVsRegexCorpus(t *testing.T) {
 		})
 	}
 }
+
+// TestFastVsRegexSplitting pins the file walk's line splitting and error
+// contract to the reference scanner's, for daemon and container logs
+// alike: CRLF lines, a missing final newline, an empty file, lines one
+// byte under and at the 4 MiB cap, and readers that split, cut short or
+// fail their reads. A container log whose read fails must drop its
+// events but still count the lines and hits read before the failure.
+func TestFastVsRegexSplitting(t *testing.T) {
+	stamp := func(ms int64, class, msg string) string {
+		return log4j.Line{TimeMS: 1499000000000 + ms, Level: log4j.Info, Class: class, Message: msg}.Format()
+	}
+	const exec = "org.apache.spark.executor.CoarseGrainedExecutorBackend"
+	lines := []string{
+		stamp(100, exec, "Started daemon with process name: 7@node03"),
+		stamp(150, "x.RMAppImpl", "application_1499000000000_0001 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
+		stamp(200, exec, "Got assigned task 0"),
+		"\tat org.apache.spark.executor.Executor.run(Executor.java:338)",
+		stamp(300, "x.NodeManager", "Container container_1499000000000_0001_01_000002 transitioned from LOCALIZING to SCHEDULED"),
+	}
+	// pad is a parseable line of exactly n bytes.
+	pad := func(n int) string {
+		head := stamp(50, exec, "Got assigned task 9 ")
+		return head + strings.Repeat("x", n-len(head))
+	}
+	small := map[string]string{
+		"lf":               strings.Join(lines, "\n") + "\n",
+		"crlf":             strings.Join(lines, "\r\n") + "\r\n",
+		"no-final-newline": strings.Join(lines, "\n"),
+		"crlf-no-final":    strings.Join(lines, "\r\n"),
+		"empty":            "",
+		"blank-lines":      "\n\r\n\n",
+		"lone-cr":          "\r",
+	}
+	long := map[string]string{
+		"max-1":         pad(maxLineBytes-1) + "\n" + lines[2] + "\n",
+		"max-1-final":   lines[0] + "\n" + pad(maxLineBytes-1),
+		"max-1-crlf":    lines[0] + "\r\n" + pad(maxLineBytes-2) + "\r\n",
+		"max":           lines[0] + "\n" + lines[1] + "\n" + pad(maxLineBytes) + "\n" + lines[2] + "\n",
+		"max-final":     lines[0] + "\n" + pad(maxLineBytes),
+		"max-with-cr":   lines[0] + "\r\n" + pad(maxLineBytes-1) + "\r\n",
+		"max-first":     pad(maxLineBytes) + "\n",
+		"over-max":      lines[2] + "\n" + pad(maxLineBytes+100) + "\n",
+		"max-then-more": lines[0] + "\n" + pad(maxLineBytes) + strings.Repeat("\n"+lines[2], 3),
+	}
+	boom := errors.New("read: input/output error")
+	readers := map[string]func([]byte) io.Reader{
+		"bytes":    func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"data-err": func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+		"timeout":  func(b []byte) io.Reader { return iotest.TimeoutReader(bytes.NewReader(b)) },
+		"err":      func([]byte) io.Reader { return iotest.ErrReader(boom) },
+		"half-then-err": func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b[:len(b)/2]), iotest.ErrReader(boom))
+		},
+		"tail-err": func(b []byte) io.Reader { return &tailErrReader{data: b, err: boom} },
+		"tail-eof": func(b []byte) io.Reader { return &tailErrReader{data: b, err: io.EOF} },
+		"stall": func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b[:len(b)/2]), stallReader{})
+		},
+		"one-byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+	}
+	// Small reads make the scanner rescan its buffer on every read:
+	// quadratic in the line length, so the 4 MiB lines skip the readers
+	// that split reads small (tail-eof covers data-err's EOF-with-data).
+	smallReads := map[string]bool{"one-byte": true, "data-err": true}
+	run := func(cases map[string]string, long bool) {
+		for cname, data := range cases {
+			for rname, open := range readers {
+				if long && smallReads[rname] {
+					continue
+				}
+				for _, src := range diffSources {
+					t.Run(cname+"/"+rname+"/"+src[:strings.IndexByte(src, '/')], func(t *testing.T) {
+						diffParsersOn(t, src, []byte(data), open)
+					})
+				}
+			}
+		}
+	}
+	run(small, false)
+	run(long, true)
+}
+
+// tailErrReader returns its last bytes together with err, as a failing
+// device read may.
+type tailErrReader struct {
+	data []byte
+	err  error
+}
+
+func (r *tailErrReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, r.err
+	}
+	return n, nil
+}
+
+// stallReader never makes progress: (0, nil) on every read.
+type stallReader struct{}
+
+func (stallReader) Read([]byte) (int, error) { return 0, nil }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"math"
 	"regexp"
 	"strings"
@@ -735,7 +736,7 @@ func fastAppInLine(raw string) (ids.AppID, bool) {
 // parsers: a line of this many bytes or more is a scan error.
 const maxLineBytes = 4 * 1024 * 1024
 
-// segmentIter splits a raw feed exactly like parseDaemonLog's
+// segmentIter splits a raw feed exactly like the reference parsers'
 // bufio.Scanner would: on '\n', one trailing '\r' dropped per segment,
 // no final empty segment after a trailing newline, and a segment of
 // maxLineBytes or more (measured before the '\r' drop, like the
@@ -743,6 +744,11 @@ const maxLineBytes = 4 * 1024 * 1024
 type segmentIter struct {
 	raw   string
 	start int
+	// lastFits is set when the read that ended the input also delivered
+	// its last bytes: the scanner then splits the rest at EOF without a
+	// buffer-full check, so an unterminated final segment of exactly
+	// maxLineBytes is a line, not ErrTooLong.
+	lastFits bool
 }
 
 func (it *segmentIter) next() (seg string, ok, tooLong bool) {
@@ -750,7 +756,8 @@ func (it *segmentIter) next() (seg string, ok, tooLong bool) {
 		return "", false, false
 	}
 	nl := strings.IndexByte(it.raw[it.start:], '\n')
-	if nl < 0 {
+	final := nl < 0
+	if final {
 		if it.start == len(it.raw) {
 			it.start++
 			return "", false, false
@@ -761,7 +768,7 @@ func (it *segmentIter) next() (seg string, ok, tooLong bool) {
 		seg = it.raw[it.start : it.start+nl]
 		it.start += nl + 1
 	}
-	if len(seg) >= maxLineBytes {
+	if len(seg) > maxLineBytes || len(seg) == maxLineBytes && !(final && it.lastFits) {
 		return "", false, true
 	}
 	if len(seg) > 0 && seg[len(seg)-1] == '\r' {
@@ -770,18 +777,18 @@ func (it *segmentIter) next() (seg string, ok, tooLong bool) {
 	return seg, true, false
 }
 
-// feedDaemonSegments is parseDaemonLog for an in-memory feed on the
-// fast matcher: no reader, no scanner buffer, no allocations on
-// non-matching lines. It reports false where the scanner would have
-// returned an error.
-func (p *Parser) feedDaemonSegments(source, raw string) bool {
-	for it := (segmentIter{raw: raw}); ; {
+// feedDaemonSegments mines a daemon log's bytes — a whole file from
+// parseFile, or a stream feed — on the fast matcher: no reader, no
+// scanner buffer, no allocations on non-matching lines. It returns
+// bufio.ErrTooLong where the scanner would.
+func (p *Parser) feedDaemonSegments(source string, it segmentIter) error {
+	for {
 		seg, ok, tooLong := it.next()
 		if tooLong {
-			return false
+			return bufio.ErrTooLong
 		}
 		if !ok {
-			return true
+			return nil
 		}
 		p.lines++
 		line, lok := log4j.ParseLineFast(seg)
@@ -793,16 +800,17 @@ func (p *Parser) feedDaemonSegments(source, raw string) bool {
 	}
 }
 
-// feedContainerSegments is parseContainerLog for an in-memory feed on
-// the fast matcher. On the scanner-error equivalent it truncates the
-// events it appended, like the buffered path does.
-func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, raw string) bool {
+// feedContainerSegments is feedDaemonSegments for a container log. rerr
+// is the error that cut the read short, if any: the bytes before it are
+// walked and counted like the scanner does, then, as on ErrTooLong, the
+// file's events are dropped and the error returned.
+func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, it segmentIter, rerr error) error {
 	cs := p.beginContainerScan()
-	for it := (segmentIter{raw: raw}); ; {
+	for {
 		seg, ok, tooLong := it.next()
 		if tooLong {
-			p.events = p.events[:cs.bodyStart]
-			return false
+			rerr = bufio.ErrTooLong
+			break
 		}
 		if !ok {
 			break
@@ -810,6 +818,10 @@ func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, raw s
 		p.lines++
 		cs.line(p, source, cid, seg, false)
 	}
+	if rerr != nil {
+		p.events = p.events[:cs.bodyStart] // a failed scan yields no events
+		return rerr
+	}
 	cs.finish(p, source, cid)
-	return true
+	return nil
 }

@@ -113,6 +113,7 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var fb fileBuf // this worker's read buffer, reused file to file
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(files) {
@@ -126,7 +127,7 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 				}
 				opened := pl.Begin()
 				p := NewParser()
-				err = p.ParseReader(files[i].name, r)
+				err = p.parseFile(files[i].name, r, &fb)
 				r.Close()
 				parsers[i], errs[i] = p, err
 				pl.StageSpan(obs.StageRead, -1, t, opened, 1)
@@ -138,12 +139,17 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 	wg.Wait()
 	pl.FilesPending(0)
 
-	merged := NewParser()
+	total := 0
 	for i, p := range parsers {
 		if errs[i] != nil {
 			// First error in file order, like the serial walk surfaces.
 			return nil, errs[i]
 		}
+		total += len(p.events)
+	}
+	merged := NewParser()
+	merged.events = make([]Event, 0, total)
+	for _, p := range parsers {
 		merged.events = append(merged.events, p.events...)
 		merged.files += p.files
 		merged.lines += p.lines

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
@@ -46,10 +48,11 @@ type Parser struct {
 	lines  int
 	met    *parserMetrics
 
-	// cloneMined is set while mining lines sliced from a whole-file
-	// blob: the fast miner then clones each matching line so emitted
-	// events do not pin the blob. Streams feed caller-owned line
-	// strings and leave it false.
+	// cloneMined is set while mining lines sliced from a fileBuf: the
+	// fast miners then clone every string an event keeps (daemon
+	// matches, container body events, the container's FIRST_LOG line),
+	// so no event aliases the reusable buffer or pins a whole file.
+	// Streams feed caller-owned line strings and leave it false.
 	cloneMined bool
 }
 
@@ -221,30 +224,15 @@ func (p *Parser) warnf(format string, args ...any) {
 // is treated as a container log and its first parseable line becomes the
 // FIRST_LOG event of Table I.
 func (p *Parser) ParseReader(name string, r io.Reader) error {
-	p.files++
-	if referenceMatcher() {
-		if cidStr := reContainerInPath.FindString(name); cidStr != "" {
-			cid, err := ids.ParseContainerID(cidStr)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", name, err)
-			}
-			return p.parseContainerLog(name, cid, r)
-		}
-		return p.parseDaemonLog(name, r)
-	}
-	if cid, found, err := fastFindContainerID(name); found {
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", name, err)
-		}
-		return p.parseContainerLog(name, cid, r)
-	}
-	return p.parseDaemonLog(name, r)
+	var fb fileBuf
+	return p.parseFile(name, r, &fb)
 }
 
 // ParseSink consumes every file of an in-memory sink.
 func (p *Parser) ParseSink(s *log4j.Sink) error {
+	var fb fileBuf
 	for _, f := range s.Files() {
-		if err := p.ParseReader(f, s.Reader(f)); err != nil {
+		if err := p.parseFile(f, s.Reader(f), &fb); err != nil {
 			return err
 		}
 	}
@@ -254,6 +242,7 @@ func (p *Parser) ParseSink(s *log4j.Sink) error {
 // ParseDir walks a log directory tree (as written by Sink.WriteDir or
 // collected from a real cluster) and consumes every regular file.
 func (p *Parser) ParseDir(dir string) error {
+	var fb fileBuf // one read buffer for the whole walk
 	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -270,108 +259,168 @@ func (p *Parser) ParseDir(dir string) error {
 		if rerr != nil {
 			rel = path
 		}
-		return p.ParseReader(filepath.ToSlash(rel), f)
+		return p.parseFile(filepath.ToSlash(rel), f, &fb)
 	})
 }
 
-// parseDaemonLog mines RM/NM logs: app state changes, container
-// transitions on both sides, launch invocations, opportunistic queueing.
-func (p *Parser) parseDaemonLog(name string, r io.Reader) error {
+// parseFile is ParseReader reading through fb, the calling loop's
+// reusable buffer. On the fast matcher every file, daemon or container
+// log, is read into fb once and walked with the zero-copy segment
+// iterator. Equivalence with the reference scanner holds on errors too:
+// bufio splits whatever it buffered (including a partial tail) with
+// atEOF=true once the reader errors, which is exactly a segment walk
+// over the bytes the read gathered; and a segment at the 4 MiB buffer
+// cap surfaces as the scanner's ErrTooLong before any read error,
+// matching the buffer-full case.
+func (p *Parser) parseFile(name string, r io.Reader, fb *fileBuf) error {
+	p.files++
 	if referenceMatcher() {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for sc.Scan() {
-			p.lines++
-			line, err := log4j.ParseLine(sc.Text())
+		if cidStr := reContainerInPath.FindString(name); cidStr != "" {
+			cid, err := ids.ParseContainerID(cidStr)
 			if err != nil {
-				continue // stack traces / malformed lines are skipped
+				return fmt.Errorf("core: %s: %w", name, err)
 			}
-			p.countLine()
-			p.mineDaemonLineRegex(name, line)
+			return p.parseContainerLog(name, cid, r)
 		}
-		return sc.Err()
+		return p.parseDaemonLog(name, r)
 	}
-	// Fast path: read the file once and walk it with the zero-copy
-	// segment iterator — the scanner's per-line Text() copy was the last
-	// allocation left on non-matching lines. Equivalence with the scanner
-	// holds on errors too: bufio splits whatever it buffered (including a
-	// partial tail) with atEOF=true once the reader errors, which is
-	// exactly a segment walk over the bytes the copy gathered; and a
-	// segment at the 4 MiB buffer cap surfaces as the scanner's
-	// ErrTooLong before any read error, matching the buffer-full case.
-	var bw blobWriter
-	if l, ok := r.(interface{ Len() int }); ok {
-		bw.hint = l.Len() // sized reader on the chunked path: grow once
+	cid, isContainer, err := fastFindContainerID(name)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", name, err)
 	}
-	_, rerr := io.Copy(&bw, r)
-	// Mined strings would otherwise be slices of the whole-file blob;
-	// have the miner clone the matched line out (one copy per matching
-	// line, nothing on the others) so events never pin the file.
+	rerr := fb.load(r)
+	// Mined strings would otherwise be views of fb, which the caller's
+	// next file overwrites; have the miners clone what they keep (one
+	// copy per emitted field, nothing on the other lines).
 	p.cloneMined = true
 	defer func() { p.cloneMined = false }()
-	it := segmentIter{raw: bw.String()}
-	for {
-		seg, ok, tooLong := it.next()
-		if tooLong {
-			return bufio.ErrTooLong
-		}
-		if !ok {
-			break
-		}
-		p.lines++
-		line, lok := log4j.ParseLineFast(seg)
-		if !lok {
-			continue
-		}
-		p.countLine()
-		p.mineDaemonLineFast(name, line)
+	if isContainer {
+		return p.feedContainerSegments(name, cid, fb.segments(), rerr)
+	}
+	if err := p.feedDaemonSegments(name, fb.segments()); err != nil {
+		return err
 	}
 	return rerr
 }
 
-// blobWriter accumulates a reader's contents as one string, taking the
-// backing string wholesale — no copy, no allocation — when the source
-// hands it over in a single WriteString (strings.Reader.WriteTo, and so
-// Sink.Reader, does exactly that under io.Copy). Any other reader
-// drains through the builder in chunks, growing once to the size hint
-// when one is known.
-type blobWriter struct {
-	direct string          // whole-string handover, if it happened
-	hint   int             // size hint, applied on first chunked write
-	b      strings.Builder // chunked fallback
+// parseDaemonLog mines RM/NM logs — app state changes, container
+// transitions on both sides, launch invocations, opportunistic queueing
+// — with the regexp reference matcher.
+func (p *Parser) parseDaemonLog(name string, r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	for sc.Scan() {
+		p.lines++
+		line, err := log4j.ParseLine(sc.Text())
+		if err != nil {
+			continue // stack traces / malformed lines are skipped
+		}
+		p.countLine()
+		p.mineDaemonLineRegex(name, line)
+	}
+	return sc.Err()
 }
 
-func (w *blobWriter) spill() {
-	if w.hint > 0 {
-		w.b.Grow(w.hint)
-		w.hint = 0
-	}
-	if w.direct != "" {
-		s := w.direct
-		w.direct = ""
-		w.b.WriteString(s)
+// fileBuf is a mining loop's reusable read buffer. load reads one whole
+// file into it and String views the bytes, so every file the loop mines
+// is walked by segmentIter without a per-file allocation once the
+// buffer has grown to the largest file. A reader that hands its content
+// over in one WriteString (strings.Reader, and so Sink.Reader, under
+// io.Copy) is aliased instead of copied.
+//
+// String's result is valid only until the next load: the miners clone
+// what they keep under the cloneMined gate. The buffer belongs to the
+// loop that declares it (a mineFiles worker, a ParseDir walk, a
+// ParseReader call) and never outlives it; no Parser, Checker or Report
+// holds one.
+type fileBuf struct {
+	b        []byte
+	direct   string // whole-string handover, if it happened
+	lastFits bool   // see segmentIter.lastFits
+}
+
+// readChunk is the least free space each Read is offered: the reference
+// scanner's initial buffer, so a reader that fails on its second read
+// gives both matchers the same bytes.
+const readChunk = 64 * 1024
+
+// maxEmptyReads is bufio.Scanner's limit on consecutive (0, nil) reads
+// before it fails with io.ErrNoProgress.
+const maxEmptyReads = 100
+
+// load replaces the buffer's content with r's, read to EOF or to the
+// first error; the bytes gathered before an error stay loaded.
+func (fb *fileBuf) load(r io.Reader) error {
+	fb.b, fb.direct, fb.lastFits = fb.b[:0], "", false
+	_, err := io.Copy(fb, r)
+	return err
+}
+
+func (fb *fileBuf) spill() {
+	if fb.direct != "" {
+		fb.b = append(fb.b, fb.direct...)
+		fb.direct = ""
 	}
 }
 
-func (w *blobWriter) WriteString(s string) (int, error) {
-	if w.direct == "" && w.b.Len() == 0 {
-		w.direct = s
+func (fb *fileBuf) WriteString(s string) (int, error) {
+	if fb.direct == "" && len(fb.b) == 0 {
+		fb.direct = s
 		return len(s), nil
 	}
-	w.spill()
-	return w.b.WriteString(s)
+	fb.spill()
+	fb.b = append(fb.b, s...)
+	return len(s), nil
 }
 
-func (w *blobWriter) Write(p []byte) (int, error) {
-	w.spill()
-	return w.b.Write(p)
+func (fb *fileBuf) Write(p []byte) (int, error) {
+	fb.spill()
+	fb.b = append(fb.b, p...)
+	return len(p), nil
 }
 
-func (w *blobWriter) String() string {
-	if w.direct != "" {
-		return w.direct
+// ReadFrom drains r into the buffer (io.Copy's route for files and any
+// reader without WriteTo).
+func (fb *fileBuf) ReadFrom(r io.Reader) (int64, error) {
+	fb.spill()
+	var n int64
+	for empty := 0; ; {
+		if cap(fb.b)-len(fb.b) < readChunk {
+			fb.b = slices.Grow(fb.b, readChunk)
+		}
+		m, err := r.Read(fb.b[len(fb.b):cap(fb.b)])
+		fb.b = fb.b[:len(fb.b)+m]
+		n += int64(m)
+		if err != nil {
+			fb.lastFits = m > 0
+		}
+		switch {
+		case err == io.EOF:
+			return n, nil
+		case err != nil:
+			return n, err
+		case m > 0:
+			empty = 0
+		default:
+			if empty++; empty > maxEmptyReads {
+				return n, io.ErrNoProgress
+			}
+		}
 	}
-	return w.b.String()
+}
+
+// segments iterates over the loaded content's lines.
+func (fb *fileBuf) segments() segmentIter {
+	return segmentIter{raw: fb.String(), lastFits: fb.lastFits}
+}
+
+// String returns the loaded content; see the type comment for how long
+// it stays valid.
+func (fb *fileBuf) String() string {
+	if fb.direct != "" {
+		return fb.direct
+	}
+	return unsafe.String(unsafe.SliceData(fb.b), len(fb.b))
 }
 
 // mineDaemonLineFast is mineDaemonLineRegex on the byte-level rule
@@ -605,16 +654,18 @@ func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
 }
 
 // containerScan carries one container-log scan's state. It is shared by
-// the buffered (ParseReader) path and the single-line stream feeds, and
-// by both matcher implementations. Body events append directly to
+// the file walk, the single-line stream feeds and the reference scanner. Body events append directly to
 // p.events past bodyStart; finish inserts the FIRST_LOG event in front
 // of them, reproducing the reference ordering.
 type containerScan struct {
-	bodyStart   int
-	instance    InstanceType
-	firstLine   log4j.Line
-	hasFirst    bool
-	sawFirstTsk bool
+	bodyStart int
+	instance  InstanceType
+	// The first parseable line's stamp, class and message: the FIRST_LOG
+	// event finish emits.
+	hasFirst             bool
+	firstMS              int64
+	firstClass, firstRaw string
+	sawFirstTsk          bool
 }
 
 func (p *Parser) beginContainerScan() containerScan {
@@ -639,7 +690,11 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw s
 	}
 	p.countLine()
 	if !cs.hasFirst {
-		cs.firstLine, cs.hasFirst = line, true
+		class, msg := line.Class, line.Message
+		if p.cloneMined {
+			class, msg = strings.Clone(class), strings.Clone(msg)
+		}
+		cs.hasFirst, cs.firstMS, cs.firstClass, cs.firstRaw = true, line.TimeMS, class, msg
 	}
 	// Instance classification from logging classes and message shape.
 	switch {
@@ -676,7 +731,11 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw s
 	default:
 		return
 	}
-	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
+	class, msg := line.Class, line.Message
+	if p.cloneMined {
+		class, msg = strings.Clone(class), strings.Clone(msg)
+	}
+	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: class, Raw: msg})
 }
 
 func matchBody(rule int, msg string, ref bool) bool {
@@ -710,23 +769,22 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 	case InstSparkExecutor:
 		flKind = ExecutorFirstLog
 	}
-	ev := Event{Kind: flKind, TimeMS: cs.firstLine.TimeMS, App: cid.App, Container: cid, Source: name, Class: cs.firstLine.Class, Raw: cs.firstLine.Message, Instance: cs.instance}
+	ev := Event{Kind: flKind, TimeMS: cs.firstMS, App: cid.App, Container: cid, Source: name, Class: cs.firstClass, Raw: cs.firstRaw, Instance: cs.instance}
 	p.events = append(p.events, Event{})
 	copy(p.events[cs.bodyStart+1:], p.events[cs.bodyStart:len(p.events)-1])
 	p.events[cs.bodyStart] = ev
 }
 
-// parseContainerLog mines one container's stderr: the first parseable
-// line is FIRST_LOG; Spark driver/executor markers and the instance type
-// come from the body.
+// parseContainerLog mines one container's stderr with the regexp
+// reference matcher: the first parseable line is FIRST_LOG; Spark
+// driver/executor markers and the instance type come from the body.
 func (p *Parser) parseContainerLog(name string, cid ids.ContainerID, r io.Reader) error {
-	ref := referenceMatcher()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	cs := p.beginContainerScan()
 	for sc.Scan() {
 		p.lines++
-		cs.line(p, name, cid, sc.Text(), ref)
+		cs.line(p, name, cid, sc.Text(), true)
 	}
 	if err := sc.Err(); err != nil {
 		p.events = p.events[:cs.bodyStart] // a failed scan yields no events

@@ -160,12 +160,12 @@ func parseScratch(p *Parser, pm *parserMetrics, source, raw string) []Event {
 	p.met = pm
 	p.events = p.events[:0]
 	if cid, found, err := fastFindContainerID(source); found {
-		if err != nil || !p.feedContainerSegments(source, cid, raw) {
+		if err != nil || p.feedContainerSegments(source, cid, segmentIter{raw: raw}, nil) != nil {
 			return nil
 		}
 		return p.events
 	}
-	if !p.feedDaemonSegments(source, raw) {
+	if p.feedDaemonSegments(source, segmentIter{raw: raw}) != nil {
 		return nil
 	}
 	return p.events
