@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"strings"
 )
 
 // jsonApp is the machine-readable projection of one application trace —
@@ -60,51 +62,77 @@ type jsonContainer struct {
 }
 
 // JSON renders the report's per-application traces, decompositions, and
-// critical paths as indented JSON.
+// critical paths as indented JSON. Apps are rendered one by one on
+// GOMAXPROCS goroutines, each indented one level as an array element,
+// and spliced into the array: the same encoder and escaping as
+// marshalling the whole []jsonApp, so the same bytes.
 func (r *Report) JSON() (string, error) {
-	out := make([]jsonApp, 0, len(r.Apps))
-	for _, a := range r.Apps {
-		ja := jsonApp{
-			App:       a.ID.String(),
-			Name:      a.Name,
-			Type:      a.AppType,
-			Queue:     a.Queue,
-			Submitted: a.Submitted,
-		}
-		if d := a.Decomp; d != nil {
-			ja.Decomp = jsonDecomp{
-				Total: d.Total, AM: d.AM, In: d.In, Out: d.Out,
-				Driver: d.Driver, Executor: d.Executor, Alloc: d.Alloc,
-				Cf: d.Cf, Cl: d.Cl, Job: d.JobRuntime,
-				Complete: d.Complete, Anomalies: d.Anomalies,
-			}
-		}
-		for _, s := range CriticalPath(a) {
-			ja.Path = append(ja.Path, jsonSegment{Label: s.Label, MS: s.Duration()})
-		}
-		for _, c := range a.Containers {
-			ja.Container = append(ja.Container, jsonContainer{
-				ID:            c.ID.String(),
-				Instance:      string(c.Instance),
-				Node:          c.Node,
-				Allocated:     c.Allocated,
-				Acquired:      c.Acquired,
-				Localizing:    c.Localizing,
-				Scheduled:     c.Scheduled,
-				Running:       c.Running,
-				FirstLog:      c.FirstLog,
-				FirstTask:     c.FirstTask,
-				Exited:        c.Exited,
-				Released:      c.Released,
-				LaunchInvoked: c.LaunchInvoked,
-				Lost:          c.Lost,
-			})
-		}
-		out = append(out, ja)
+	if len(r.Apps) == 0 {
+		return "[]", nil
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("core: %w", err)
+	parts := make([][]byte, len(r.Apps))
+	errs := make([]error, len(r.Apps))
+	forEach(len(r.Apps), runtime.GOMAXPROCS(0), func(i int) {
+		parts[i], errs[i] = json.MarshalIndent(newJSONApp(r.Apps[i]), "  ", "  ")
+	})
+	const open, sep, end = "[\n  ", ",\n  ", "\n]"
+	n := len(open) + len(sep)*(len(parts)-1) + len(end)
+	for i, p := range parts {
+		if errs[i] != nil {
+			return "", fmt.Errorf("core: %w", errs[i])
+		}
+		n += len(p)
 	}
-	return string(b), nil
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(open)
+	for i, p := range parts {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.Write(p)
+	}
+	b.WriteString(end)
+	return b.String(), nil
+}
+
+// newJSONApp projects one application trace into its export form.
+func newJSONApp(a *AppTrace) jsonApp {
+	ja := jsonApp{
+		App:       a.ID.String(),
+		Name:      a.Name,
+		Type:      a.AppType,
+		Queue:     a.Queue,
+		Submitted: a.Submitted,
+	}
+	if d := a.Decomp; d != nil {
+		ja.Decomp = jsonDecomp{
+			Total: d.Total, AM: d.AM, In: d.In, Out: d.Out,
+			Driver: d.Driver, Executor: d.Executor, Alloc: d.Alloc,
+			Cf: d.Cf, Cl: d.Cl, Job: d.JobRuntime,
+			Complete: d.Complete, Anomalies: d.Anomalies,
+		}
+	}
+	for _, s := range CriticalPath(a) {
+		ja.Path = append(ja.Path, jsonSegment{Label: s.Label, MS: s.Duration()})
+	}
+	for _, c := range a.Containers {
+		ja.Container = append(ja.Container, jsonContainer{
+			ID:            c.ID.String(),
+			Instance:      string(c.Instance),
+			Node:          c.Node,
+			Allocated:     c.Allocated,
+			Acquired:      c.Acquired,
+			Localizing:    c.Localizing,
+			Scheduled:     c.Scheduled,
+			Running:       c.Running,
+			FirstLog:      c.FirstLog,
+			FirstTask:     c.FirstTask,
+			Exited:        c.Exited,
+			Released:      c.Released,
+			LaunchInvoked: c.LaunchInvoked,
+			Lost:          c.Lost,
+		})
+	}
+	return ja
 }

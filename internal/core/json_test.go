@@ -2,8 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ids"
 )
 
 func TestJSONExportRoundTrips(t *testing.T) {
@@ -43,5 +46,57 @@ func TestJSONExportEmpty(t *testing.T) {
 	out, err := ReportFrom(nil, nil).JSON()
 	if err != nil || out != "[]" {
 		t.Fatalf("empty export: %q %v", out, err)
+	}
+}
+
+// marshalWhole is the reference Report.JSON is spliced to match: the
+// whole []jsonApp through one json.MarshalIndent.
+func marshalWhole(t *testing.T, r *Report) string {
+	t.Helper()
+	out := make([]jsonApp, 0, len(r.Apps))
+	for _, a := range r.Apps {
+		out = append(out, newJSONApp(a))
+	}
+	b, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestJSONSpliceMatchesMarshal pins the per-app render: splicing the
+// apps' separately indented objects must give exactly the bytes of
+// marshalling the whole array, escaping included.
+func TestJSONSpliceMatchesMarshal(t *testing.T) {
+	odd := "q<1> & r>0 \u2028 Größe 日本"
+	bare := &AppTrace{ID: ids.AppID{ClusterTS: 1499000000000, Seq: 7}, Name: odd, AppType: "SPARK&<>", Queue: "root.\u2028é"}
+	anomalous := analyze(t, buildSparkCorpus()).Apps[0]
+	anomalous.Name = odd
+	anomalous.Decomp.Anomalies = []string{"lost <node> & \u2029 überall", "second"}
+	golden, err := MineDir(filepath.Join("testdata", "golden", "faulted", "input"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string]*Report{
+		"no apps":                     ReportFrom(nil, nil),
+		"zero report":                 {},
+		"one app":                     analyze(t, buildSparkCorpus()),
+		"nil Decomp, no containers":   {Apps: []*AppTrace{bare}},
+		"escaped names and anomalies": {Apps: []*AppTrace{anomalous, bare}},
+		"multi-app corpus":            analyze(t, buildMultiAppCorpus(5)),
+		"faulted golden tree":         golden,
+	}
+	for name, r := range cases {
+		got, err := r.JSON()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := marshalWhole(t, r); got != want {
+			t.Errorf("%s: spliced JSON diverges from whole-array MarshalIndent:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	if got, _ := cases["escaped names and anomalies"].JSON(); !strings.Contains(got, `\u003c`) || !strings.Contains(got, `\u2028`) {
+		t.Errorf("escaping case did not exercise HTML and line-separator escapes:\n%s", got)
 	}
 }

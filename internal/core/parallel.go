@@ -20,7 +20,9 @@ import (
 // order. The merged event slice is exactly what one serial Parser over
 // the same files in the same order would have produced, so the report —
 // including its JSON export — is byte-identical to Checker.Analyze for
-// any worker count.
+// any worker count. No stage after the file list runs alone: the
+// directory walk streams files to the workers as it finds them, and
+// correlation, decomposition and JSON rendering fan out per app.
 
 // mineFile is one log file to parse: its logical (slash-separated) name
 // and a way to open its content.
@@ -28,6 +30,11 @@ type mineFile struct {
 	name string
 	open func() (io.ReadCloser, error)
 }
+
+// fileSource hands each file to mine to yield, in merge order, stopping
+// early once yield returns false. Its error (a failed directory walk)
+// comes after every file it yielded in that order.
+type fileSource func(yield func(mineFile) bool) error
 
 // MineDir mines a log directory tree like Checker.AddDir + Analyze, but
 // parses files on up to workers goroutines (0 = GOMAXPROCS). The report
@@ -42,28 +49,29 @@ func MineDir(dir string, workers int) (*Report, error) {
 // MineDir (every instrumentation call is a nil-safe no-op, so the
 // unobserved path stays benchmark-neutral).
 func MineDirObserved(dir string, workers int, pl *obs.Pipeline) (*Report, error) {
-	var files []mineFile
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
+	walk := func(yield func(mineFile) bool) error {
+		return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				return nil
+			}
+			rel, rerr := filepath.Rel(dir, path)
+			if rerr != nil {
+				rel = path
+			}
+			f := mineFile{
+				name: filepath.ToSlash(rel),
+				open: func() (io.ReadCloser, error) { return os.Open(path) },
+			}
+			if !yield(f) {
+				return filepath.SkipAll
+			}
 			return nil
-		}
-		rel, rerr := filepath.Rel(dir, path)
-		if rerr != nil {
-			rel = path
-		}
-		files = append(files, mineFile{
-			name: filepath.ToSlash(rel),
-			open: func() (io.ReadCloser, error) { return os.Open(path) },
 		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return mineFiles(files, workers, pl)
+	return mineFiles(walk, workers, pl)
 }
 
 // MineSink mines an in-memory log sink like Checker.AddSink + Analyze,
@@ -75,38 +83,48 @@ func MineSink(s *log4j.Sink, workers int) (*Report, error) {
 // MineSinkObserved is MineSink with self-observability attached (see
 // MineDirObserved).
 func MineSinkObserved(s *log4j.Sink, workers int, pl *obs.Pipeline) (*Report, error) {
-	names := s.Files()
-	files := make([]mineFile, 0, len(names))
-	for _, f := range names {
-		f := f
-		files = append(files, mineFile{
-			name: f,
-			open: func() (io.ReadCloser, error) { return io.NopCloser(s.Reader(f)), nil },
-		})
+	names := func(yield func(mineFile) bool) error {
+		for _, f := range s.Files() {
+			open := func() (io.ReadCloser, error) { return io.NopCloser(s.Reader(f)), nil }
+			if !yield(mineFile{name: f, open: open}) {
+				break
+			}
+		}
+		return nil
 	}
-	return mineFiles(files, workers, pl)
+	return mineFiles(names, workers, pl)
 }
 
-// mineFiles parses every file on a worker pool, merges the per-file
-// parsers in file order (events, line/file counts, and warnings — the
-// latter replayed occurrence by occurrence so dedup counts match a
-// serial parse), then correlates, decomposes in parallel, and builds the
-// report.
-func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error) {
+// mined is one file's parse, filled in by the worker that claimed it.
+type mined struct {
+	p   *Parser
+	err error
+}
+
+// mineFiles parses every file src yields on a worker pool while src is
+// still producing — for MineDir the walk runs on the calling goroutine
+// and hands each file over a bounded channel as soon as it is found.
+// It then merges the per-file parsers in yield order (events, line/file
+// counts, and warnings — the latter replayed occurrence by occurrence so
+// dedup counts match a serial parse), correlates and decomposes per app
+// on the pool, and builds the report.
+func mineFiles(src fileSource, workers int, pl *obs.Pipeline) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
-	pl.FilesPending(len(files))
-	parsers := make([]*Parser, len(files))
-	errs := make([]error, len(files))
-	var next, claimed int64 = -1, 0
+	type job struct {
+		f   mineFile
+		out *mined
+	}
+	// The walk yields files in bursts, a directory at a time; a few dozen
+	// queued files per worker let it run ahead instead of handing over
+	// one file per context switch.
+	jobs := make(chan job, 64*workers)
+	// pending counts files yielded but not yet claimed; failed stops the
+	// source once any file has failed, since a later file cannot win.
+	var pending atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -114,42 +132,59 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 		go func() {
 			defer wg.Done()
 			var fb fileBuf // this worker's read buffer, reused file to file
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(files) {
-					return
-				}
+			for j := range jobs {
+				pl.FilesPending(int(pending.Add(-1)))
 				t := pl.Begin()
-				r, err := files[i].open()
+				r, err := j.f.open()
 				if err != nil {
-					errs[i] = err
+					j.out.err = err
+					failed.Store(true)
 					continue
 				}
 				opened := pl.Begin()
 				p := NewParser()
-				err = p.parseFile(files[i].name, r, &fb)
+				err = p.parseFile(j.f.name, r, &fb)
 				r.Close()
-				parsers[i], errs[i] = p, err
+				j.out.p, j.out.err = p, err
+				if err != nil {
+					failed.Store(true)
+				}
 				pl.StageSpan(obs.StageRead, -1, t, opened, 1)
 				pl.StageBatch(obs.StageParse, w, opened, p.lines)
-				pl.FilesPending(len(files) - int(atomic.AddInt64(&claimed, 1)))
 			}
 		}()
 	}
+	var files []*mined
+	srcErr := src(func(f mineFile) bool {
+		if failed.Load() {
+			return false
+		}
+		out := new(mined)
+		files = append(files, out)
+		pl.FilesPending(int(pending.Add(1)))
+		jobs <- job{f, out}
+		return true
+	})
+	close(jobs)
 	wg.Wait()
 	pl.FilesPending(0)
 
+	// First error in yield order, like the serial walk surfaces: a file's
+	// error, else the source's, which follows every file it yielded.
 	total := 0
-	for i, p := range parsers {
-		if errs[i] != nil {
-			// First error in file order, like the serial walk surfaces.
-			return nil, errs[i]
+	for _, m := range files {
+		if m.err != nil {
+			return nil, m.err
 		}
-		total += len(p.events)
+		total += len(m.p.events)
+	}
+	if srcErr != nil {
+		return nil, srcErr
 	}
 	merged := NewParser()
 	merged.events = make([]Event, 0, total)
-	for _, p := range parsers {
+	for _, m := range files {
+		p := m.p
 		merged.events = append(merged.events, p.events...)
 		merged.files += p.files
 		merged.lines += p.lines
@@ -157,9 +192,9 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 	}
 
 	tCorr := pl.Begin()
-	apps := Correlate(merged.Events())
+	apps := correlate(merged.Events(), workers)
 	tDec := pl.Begin()
-	decomposeAll(apps, workers)
+	forEach(len(apps), workers, func(i int) { Decompose(apps[i]) })
 	tRep := pl.Begin()
 	r := buildReport(apps, merged.Events())
 	r.Warnings = merged.Warnings()
@@ -172,31 +207,31 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 	return r, nil
 }
 
-// decomposeAll runs the (pure, per-app) decomposition over a worker
-// pool. Each worker writes only its own apps' Decomp fields, so the
-// result is identical to a serial loop.
-func decomposeAll(apps []*AppTrace, workers int) {
-	if workers > len(apps) {
-		workers = len(apps)
+// forEach calls fn(i) for every i in [0, n) on up to workers goroutines
+// and returns once every call has. Calls for different i must touch
+// disjoint state; the result is then that of a serial loop.
+func forEach(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, a := range apps {
-			Decompose(a)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
-	var next int64 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(apps) {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				Decompose(apps[i])
+				fn(i)
 			}
 		}()
 	}

@@ -133,42 +133,106 @@ func (a *AppTrace) WorkerContainers() []*ContainerTrace {
 // corresponding global ID ... aggregates and groups state transformations
 // based on the IDs"). It is the batch form of the live Stream's fold:
 // both apply foldEvent, so they derive the same fields.
-func Correlate(events []Event) []*AppTrace {
-	apps := make(map[ids.AppID]*AppTrace)
+func Correlate(events []Event) []*AppTrace { return correlate(events, 1) }
 
-	// Events can arrive in any order across files; walk them in time
-	// order so the trace's event lists and container first-observation
-	// order are time-ordered, ties in input order.
-	for _, i := range timeOrder(events) {
-		e := events[i]
-		a := apps[e.App]
-		if a == nil {
-			a = &AppTrace{ID: e.App, byCID: make(map[ids.ContainerID]*ContainerTrace)}
-			apps[e.App] = a
+// correlate is Correlate with the per-app work on up to workers
+// goroutines. Events can arrive in any order across files; each app's
+// trace must see its own events in time order, ties in input order, so
+// that its event lists and container first-observation order are
+// time-ordered. Filtering a stable time sort of all events down to one
+// app gives exactly that app's own stable time sort, so the events are
+// bucketed by app in input order and each bucket is sorted and folded
+// on its own.
+func correlate(events []Event, workers int) []*AppTrace {
+	// Number the apps in first-seen order (consecutive events mostly
+	// share an app, so the map is consulted once per run), then lay the
+	// event indices out app by app with a counting sort.
+	appOf := make([]int32, len(events))
+	index := make(map[ids.AppID]int32)
+	var apps []*AppTrace
+	var counts []int32
+	k := int32(-1)
+	for i := range events {
+		id := events[i].App
+		if k < 0 || apps[k].ID != id {
+			var ok bool
+			if k, ok = index[id]; !ok {
+				k = int32(len(apps))
+				index[id] = k
+				apps = append(apps, &AppTrace{ID: id})
+				counts = append(counts, 0)
+			}
 		}
-		a.Events = append(a.Events, e)
+		appOf[i] = k
+		counts[k]++
+	}
+	starts := make([]int32, len(apps)+1)
+	for k, n := range counts {
+		starts[k+1] = starts[k] + n
+		counts[k] = starts[k] // now the app's next free slot
+	}
+	order := make([]int32, len(events))
+	for i, k := range appOf {
+		order[counts[k]] = int32(i)
+		counts[k]++
+	}
+
+	forEach(len(apps), workers, func(k int) {
+		foldApp(apps[k], events, order[starts[k]:starts[k+1]])
+	})
+	sortTracesBySeq(apps)
+	return apps
+}
+
+// foldApp builds a's trace from its events, given as indices into
+// events in input order: it sorts them by timestamp, ties in input
+// order, and folds them in that order. Each container's event list is
+// its exact share of one backing array.
+func foldApp(a *AppTrace, events []Event, idx []int32) {
+	slices.SortStableFunc(idx, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
+	a.Events = make([]Event, len(idx))
+	// of[n] is the position in a.Containers (first-observation order) of
+	// event n's container, -1 for app-level events; sizes counts each
+	// container's events.
+	pos := make(map[ids.ContainerID]int32)
+	of := make([]int32, len(idx))
+	var sizes []int32
+	nc := 0
+	for n, i := range idx {
+		e := &events[i]
+		a.Events[n] = *e
+		of[n] = -1
 		var c *ContainerTrace
 		if !e.Container.IsZero() {
-			c = a.byCID[e.Container]
-			if c == nil {
-				c = &ContainerTrace{ID: e.Container}
-				a.byCID[e.Container] = c
-				a.Containers = append(a.Containers, c)
+			k, ok := pos[e.Container]
+			if !ok {
+				k = int32(len(a.Containers))
+				pos[e.Container] = k
+				a.Containers = append(a.Containers, &ContainerTrace{ID: e.Container})
+				sizes = append(sizes, 0)
 			}
-			c.Events = append(c.Events, e)
+			c = a.Containers[k]
+			of[n] = k
+			sizes[k]++
+			nc++
 		}
-		foldEvent(a, c, e)
+		foldEvent(a, c, *e)
 	}
-
-	out := make([]*AppTrace, 0, len(apps))
-	for _, a := range apps {
-		// Stable: containers sharing a number (AM retries across attempts)
-		// keep first-observation order, so output is deterministic.
-		slices.SortStableFunc(a.Containers, byContainerNum)
-		out = append(out, a)
+	buf := make([]Event, nc)
+	a.byCID = make(map[ids.ContainerID]*ContainerTrace, len(a.Containers))
+	for k, c := range a.Containers {
+		c.Events, buf = buf[:0:sizes[k]], buf[sizes[k]:]
+		a.byCID[c.ID] = c
 	}
-	sortTracesBySeq(out)
-	return out
+	for n, k := range of {
+		if k >= 0 {
+			c := a.Containers[k]
+			c.Events = append(c.Events, a.Events[n])
+		}
+	}
+	// Stable: containers sharing a number (AM retries across attempts)
+	// keep first-observation order, so output is deterministic.
+	slices.SortStableFunc(a.Containers, byContainerNum)
 }
 
 // timeOrder returns the permutation that stable-sorts events by

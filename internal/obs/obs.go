@@ -258,8 +258,8 @@ func (p *Pipeline) DrainSelf() []StageObs {
 	return out
 }
 
-// FilesPending publishes how many mine inputs are still unclaimed (the
-// offline miner's queue-depth gauge).
+// FilesPending publishes how many mine inputs the walk has yielded that
+// no worker has claimed yet (the offline miner's queue-depth gauge).
 func (p *Pipeline) FilesPending(n int) {
 	if p == nil {
 		return
