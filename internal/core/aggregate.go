@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/digest"
@@ -305,42 +306,62 @@ func Worst(groups map[string]*digest.Sketch, minCount uint64) (name string, p99 
 	return name, p99, ok
 }
 
+// rowQuantiles are the ranks every BreakdownRow reports, ascending so
+// one Quantiles walk answers them all.
+var rowQuantiles = [...]float64{0.50, 0.95, 0.99}
+
 func row(component, queue, node string, inst InstanceType, s *digest.Sketch) BreakdownRow {
+	var q [len(rowQuantiles)]float64
+	s.Quantiles(rowQuantiles[:], q[:])
 	return BreakdownRow{
 		Component: component, Queue: queue, Node: node, Instance: string(inst),
 		Count:  s.Count(),
 		MeanMS: s.Mean(),
-		P50MS:  s.Quantile(0.50),
-		P95MS:  s.Quantile(0.95),
-		P99MS:  s.Quantile(0.99),
+		P50MS:  q[0],
+		P95MS:  q[1],
+		P99MS:  q[2],
 		MaxMS:  s.Max(),
 	}
 }
 
+// componentRank is each component's index in Components, the row
+// display order; a component outside Components ranks with the first.
+var componentRank = func() map[string]int {
+	m := make(map[string]int, len(Components))
+	for i, c := range Components {
+		m[c] = i
+	}
+	return m
+}()
+
 // Rows renders every exact key as a summary row, sorted by component
 // display order, then queue, node, instance.
 func (cb *ClusterBreakdown) Rows() []BreakdownRow {
-	compOrder := make(map[string]int, len(Components))
-	for i, c := range Components {
-		compOrder[c] = i
+	// Place the rows by component rank (a counting sort), then sort each
+	// component's run: the comparator never looks a rank up.
+	run := make([]int, len(Components)+1)
+	for k := range cb.Sketches {
+		run[componentRank[k.Component]]++
 	}
-	out := make([]BreakdownRow, 0, len(cb.Sketches))
+	for r := 1; r < len(run); r++ {
+		run[r] += run[r-1]
+	}
+	out := make([]BreakdownRow, len(cb.Sketches))
 	for k, s := range cb.Sketches {
-		out = append(out, row(k.Component, k.Queue, k.Node, k.Instance, s))
+		r := componentRank[k.Component]
+		run[r]--
+		out[run[r]] = row(k.Component, k.Queue, k.Node, k.Instance, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if ca, cb2 := compOrder[a.Component], compOrder[b.Component]; ca != cb2 {
-			return ca < cb2
-		}
-		if a.Queue != b.Queue {
-			return a.Queue < b.Queue
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Instance < b.Instance
-	})
+	// run[r] is now where rank r's rows start; run[len(Components)] is
+	// len(out).
+	for r := range Components {
+		slices.SortFunc(out[run[r]:run[r+1]], func(a, b BreakdownRow) int {
+			return cmp.Or(
+				cmp.Compare(a.Queue, b.Queue),
+				cmp.Compare(a.Node, b.Node),
+				cmp.Compare(a.Instance, b.Instance))
+		})
+	}
 	return out
 }
 

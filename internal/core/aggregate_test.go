@@ -1,6 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/digest"
@@ -172,3 +178,74 @@ func TestWorstGroup(t *testing.T) {
 		t.Error("empty groups should not produce a callout")
 	}
 }
+
+// syntheticBreakdown builds a breakdown of exactly nKeys cells spread
+// over every component, three queues and nKeys/27+1 nodes, each cell
+// holding 50 lognormal delays with exemplars, as -serve's does.
+func syntheticBreakdown(nKeys int) *ClusterBreakdown {
+	r := rand.New(rand.NewSource(1))
+	queues := []string{"adhoc", "default", "etl"}
+	cb := NewClusterBreakdown()
+	for i := 0; i < nKeys; i++ {
+		o := Observation{
+			Component: Components[i%len(Components)],
+			Queue:     queues[i/len(Components)%len(queues)],
+			Node:      fmt.Sprintf("node%03d", i/(len(Components)*len(queues))),
+			Instance:  InstSparkExecutor,
+		}
+		for j := 0; j < 50; j++ {
+			o.MS = int64(math.Exp(r.NormFloat64() + 7))
+			o.App = fmt.Sprintf("application_1499000000000_%04d", r.Intn(200))
+			o.AtMS = int64(j)
+			cb.Add(o)
+		}
+	}
+	return cb
+}
+
+// TestBreakdownRowsOrderAndValues pins Rows against a direct rendering:
+// per-key Quantile reads, sorted by component display order (a
+// component outside Components ranks with the first), queue, node,
+// instance.
+func TestBreakdownRowsOrderAndValues(t *testing.T) {
+	cb := syntheticBreakdown(100)
+	cb.Add(Observation{Component: "custom", Queue: "zz", MS: 42})
+	var want []BreakdownRow
+	for k, s := range cb.Sketches {
+		want = append(want, BreakdownRow{
+			Component: k.Component, Queue: k.Queue, Node: k.Node, Instance: string(k.Instance),
+			Count: s.Count(), MeanMS: s.Mean(),
+			P50MS: s.Quantile(0.50), P95MS: s.Quantile(0.95), P99MS: s.Quantile(0.99),
+			MaxMS: s.Max(),
+		})
+	}
+	rank := func(c string) int {
+		if i := slices.Index(Components, c); i >= 0 {
+			return i
+		}
+		return 0
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if rank(a.Component) != rank(b.Component) {
+			return rank(a.Component) < rank(b.Component)
+		}
+		return a.Queue+"\x00"+a.Node+"\x00"+a.Instance < b.Queue+"\x00"+b.Node+"\x00"+b.Instance
+	})
+	if got := cb.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Rows() differs from the direct rendering:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// BenchmarkBreakdownRows times one /aggregate read of a breakdown the
+// size of the live-tail benchmark's (~400 cells).
+func BenchmarkBreakdownRows(b *testing.B) {
+	cb := syntheticBreakdown(400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rowsSink = cb.Rows()
+	}
+}
+
+var rowsSink []BreakdownRow

@@ -125,20 +125,19 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 	doc.TailCount = fleet.CountAbove(doc.TargetMS)
 
 	type cell struct {
-		key BreakdownKey
-		sk  *digest.Sketch
+		key  BreakdownKey
+		sk   *digest.Sketch
+		tail uint64 // observations at or above the target
 	}
 	var cells []cell
 	for k, s := range cb.Sketches {
 		if k.Component == component {
-			cells = append(cells, cell{k, s})
+			cells = append(cells, cell{k, s, s.CountAbove(doc.TargetMS)})
 		}
 	}
 	doc.CellsTotal = len(cells)
 	sort.Slice(cells, func(i, j int) bool {
-		ti := cells[i].sk.CountAbove(doc.TargetMS)
-		tj := cells[j].sk.CountAbove(doc.TargetMS)
-		if ti != tj {
+		if ti, tj := cells[i].tail, cells[j].tail; ti != tj {
 			return ti > tj
 		}
 		a, b := cells[i].key, cells[j].key
@@ -159,7 +158,7 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 			Count:     c.sk.Count(),
 			QMS:       c.sk.Quantile(q),
 			MaxMS:     c.sk.Max(),
-			TailCount: c.sk.CountAbove(doc.TargetMS),
+			TailCount: c.tail,
 		}
 		if doc.TailCount > 0 {
 			ec.TailShare = float64(ec.TailCount) / float64(doc.TailCount)

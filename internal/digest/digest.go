@@ -15,7 +15,9 @@
 // Values in [0, 1) land in a dedicated zero bucket reported as 0 (a
 // sub-millisecond delay is "zero" at log4j's 1 ms precision); negative
 // values are clamped into it too, so degraded inputs cannot corrupt the
-// sketch. Merging sketches of equal alpha is exact bucket-wise addition:
+// sketch. Values above math.MaxFloat64 (+Inf) count in the top finite
+// bucket, so every key lies in [0, key(MaxFloat64)]. Merging sketches
+// of equal alpha is exact bucket-wise addition:
 // Merge(a, b) yields bit-for-bit the sketch that would have resulted from
 // adding both input streams to one sketch, so sharded runs can be
 // combined in any order or grouping without widening the error bound.
@@ -29,12 +31,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // DefaultAlpha is the relative accuracy used across the repo: 1%
 // error on any quantile, ~275 buckets per decade-spanning component.
 const DefaultAlpha = 0.01
+
+// minAlpha bounds the dense store: a sketch spans at most
+// key(MaxFloat64)+1 ≈ 355/alpha buckets, 28 MB at this alpha (284 KB at
+// DefaultAlpha), and smaller alphas would overflow the int32 keys.
+const minAlpha = 1e-4
 
 // Sketch is one mergeable quantile sketch. The zero value is unusable;
 // call New.
@@ -43,12 +49,17 @@ type Sketch struct {
 	gamma    float64
 	invLnGam float64 // 1/ln(gamma), cached for Add's hot path
 
-	buckets map[int32]uint64 // log-indexed counts, sparse
-	zero    uint64           // observations < 1 (incl. clamped negatives)
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
+	maxKey int32 // key(math.MaxFloat64), the top finite bucket
+
+	// Dense store: counts[i] is the count of bucket offset+i. Empty
+	// buckets inside the span hold 0; an empty store has len 0.
+	offset int32
+	counts []uint64
+	zero   uint64 // observations < 1 (incl. clamped negatives)
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 
 	// Tail-biased exemplar reservoir (see exemplar.go). exCap == 0 means
 	// tracking is off and the sketch behaves exactly as before.
@@ -57,30 +68,70 @@ type Sketch struct {
 }
 
 // New returns an empty sketch with the given relative accuracy alpha
-// (0 < alpha < 1). Use DefaultAlpha unless a caller needs a documented
-// different bound.
+// (1e-4 <= alpha < 1). Use DefaultAlpha unless a caller needs a
+// documented different bound.
 func New(alpha float64) *Sketch {
-	if !(alpha > 0 && alpha < 1) {
-		panic(fmt.Sprintf("digest: alpha %v out of (0,1)", alpha))
+	if !validAlpha(alpha) {
+		panic(fmt.Sprintf("digest: alpha %v out of [%v,1)", alpha, minAlpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{
+	s := &Sketch{
 		alpha:    alpha,
 		gamma:    gamma,
 		invLnGam: 1 / math.Log(gamma),
-		buckets:  make(map[int32]uint64),
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 	}
+	s.maxKey = s.key(math.MaxFloat64)
+	return s
 }
+
+func validAlpha(alpha float64) bool { return alpha >= minAlpha && alpha < 1 }
 
 // Alpha returns the sketch's relative accuracy.
 func (s *Sketch) Alpha() float64 { return s.alpha }
 
 // key maps a value >= 1 to its bucket index: the smallest i with
-// gamma^i >= v.
+// gamma^i >= v. +Inf maps to the top finite bucket, key(MaxFloat64).
 func (s *Sketch) key(v float64) int32 {
+	if v > math.MaxFloat64 {
+		v = math.MaxFloat64
+	}
 	return int32(math.Ceil(math.Log(v) * s.invLnGam))
+}
+
+// cover grows the dense store to span keys [lo, hi] (lo <= hi, both in
+// [0, maxKey]), keeping every count. Growth reuses spare capacity and
+// otherwise reallocates with half as much again, so a stream that keeps
+// widening the span costs amortized O(1) per new bucket on the right.
+func (s *Sketch) cover(lo, hi int32) {
+	if len(s.counts) == 0 {
+		s.offset = lo
+		s.counts = resize(s.counts, int(hi-lo)+1)
+		clear(s.counts)
+		return
+	}
+	top := s.offset + int32(len(s.counts)) - 1
+	lo, hi = min(lo, s.offset), max(hi, top)
+	if lo == s.offset && hi == top {
+		return
+	}
+	old := s.counts
+	shift := int(s.offset - lo)
+	s.counts = resize(old, int(hi-lo)+1)
+	copy(s.counts[shift:], old) // memmove when the array is reused
+	clear(s.counts[:shift])
+	clear(s.counts[shift+len(old):])
+	s.offset = lo
+}
+
+// resize returns a slice of length n, on c's array when it fits (its
+// contents are then the caller's to clear) and on a fresh one otherwise.
+func resize(c []uint64, n int) []uint64 {
+	if n <= cap(c) {
+		return c[:n]
+	}
+	return make([]uint64, n, n+n/2)
 }
 
 // value maps a bucket index back to the bucket's midpoint: the
@@ -107,7 +158,9 @@ func (s *Sketch) AddN(v float64, n uint64) {
 	if v < 1 {
 		s.zero += n
 	} else {
-		s.buckets[s.key(v)] += n
+		k := s.key(v)
+		s.cover(k, k)
+		s.counts[k-s.offset] += n
 	}
 	s.count += n
 	s.sum += v * float64(n)
@@ -154,6 +207,29 @@ func (s *Sketch) Max() float64 {
 // sketch yields 0. The returned value is additionally clamped into
 // [Min, Max], which are tracked exactly.
 func (s *Sketch) Quantile(p float64) float64 {
+	w := walker{cum: s.zero}
+	return s.quantile(&w, p)
+}
+
+// Quantiles writes Quantile(ps[i]) into out[i] (len(out) >= len(ps)).
+// Ascending ps are answered in one walk over the buckets; a p below its
+// predecessor restarts the walk.
+func (s *Sketch) Quantiles(ps, out []float64) {
+	w := walker{cum: s.zero}
+	for i, p := range ps {
+		out[i] = s.quantile(&w, p)
+	}
+}
+
+// walker is a position in an ascending bucket walk: cum is the zero
+// bucket plus every bucket below i. Start it at walker{cum: s.zero}.
+type walker struct {
+	i    int
+	cum  uint64
+	rank uint64 // rank of the last answer
+}
+
+func (s *Sketch) quantile(w *walker, p float64) float64 {
 	if s.count == 0 {
 		return 0
 	}
@@ -168,20 +244,26 @@ func (s *Sketch) Quantile(p float64) float64 {
 	if rank == 0 {
 		rank = 1
 	}
+	if rank < w.rank {
+		*w = walker{cum: s.zero}
+	}
+	w.rank = rank
 	var out float64
 	if rank <= s.zero {
 		out = 0
 	} else {
-		keys := s.sortedKeys()
-		cum := s.zero
+		// cum < rank here, so an empty bucket never matches.
 		out = s.max // fall through only on float accumulation quirks
-		for _, k := range keys {
-			cum += s.buckets[k]
-			if cum >= rank {
-				out = s.value(k)
+		i, cum := w.i, w.cum
+		for ; i < len(s.counts); i++ {
+			c := cum + s.counts[i]
+			if c >= rank {
+				out = s.value(s.offset + int32(i))
 				break
 			}
+			cum = c
 		}
+		w.i, w.cum = i, cum
 	}
 	if out < s.min {
 		out = s.min
@@ -200,22 +282,20 @@ func (s *Sketch) CountAbove(v float64) uint64 {
 	if v <= 0 {
 		return s.count
 	}
+	// Representatives rise with the key, so walk down from the top and
+	// stop at the first non-empty bucket below v.
 	var n uint64
-	for k, c := range s.buckets {
-		if s.value(k) >= v {
-			n += c
+	for i := len(s.counts) - 1; i >= 0; i-- {
+		c := s.counts[i]
+		if c == 0 {
+			continue
 		}
+		if !(s.value(s.offset+int32(i)) >= v) { // also stops on NaN v
+			break
+		}
+		n += c
 	}
 	return n
-}
-
-func (s *Sketch) sortedKeys() []int32 {
-	keys := make([]int32, 0, len(s.buckets))
-	for k := range s.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // Merge folds other into s (other is unchanged). Sketches must share the
@@ -228,8 +308,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other.alpha != s.alpha {
 		return fmt.Errorf("digest: cannot merge alpha=%v into alpha=%v", other.alpha, s.alpha)
 	}
-	for k, n := range other.buckets {
-		s.buckets[k] += n
+	if len(other.counts) > 0 {
+		s.cover(other.offset, other.offset+int32(len(other.counts))-1)
+		dst := s.counts[other.offset-s.offset:]
+		for i, n := range other.counts {
+			dst[i] += n
+		}
 	}
 	s.zero += other.zero
 	s.count += other.count
@@ -247,9 +331,9 @@ func (s *Sketch) Merge(other *Sketch) error {
 // Clone returns an independent deep copy.
 func (s *Sketch) Clone() *Sketch {
 	c := *s
-	c.buckets = make(map[int32]uint64, len(s.buckets))
-	for k, n := range s.buckets {
-		c.buckets[k] = n
+	c.counts = nil
+	if len(s.counts) > 0 {
+		c.counts = append([]uint64(nil), s.counts...)
 	}
 	if s.ex != nil {
 		c.ex = make([]Exemplar, len(s.ex))
@@ -258,10 +342,11 @@ func (s *Sketch) Clone() *Sketch {
 	return &c
 }
 
-// Reset empties the sketch, keeping its accuracy and its exemplar
-// capacity (a recycled window bucket keeps tracking).
+// Reset empties the sketch, keeping its accuracy, its exemplar
+// capacity (a recycled window bucket keeps tracking) and its bucket
+// array.
 func (s *Sketch) Reset() {
-	s.buckets = make(map[int32]uint64)
+	s.counts = s.counts[:0]
 	s.zero = 0
 	s.count = 0
 	s.sum = 0
@@ -291,7 +376,13 @@ var magic = []byte("dg1")
 
 // MarshalBinary serializes the sketch.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 32+3*len(s.buckets))
+	nb := 0
+	for _, c := range s.counts {
+		if c != 0 {
+			nb++
+		}
+	}
+	buf := make([]byte, 0, 32+3*nb)
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.alpha))
 	buf = binary.AppendUvarint(buf, s.zero)
@@ -301,13 +392,16 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.min))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.max))
 	}
-	keys := s.sortedKeys()
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	buf = binary.AppendUvarint(buf, uint64(nb))
 	prev := int64(0)
-	for _, k := range keys {
-		buf = binary.AppendVarint(buf, int64(k)-prev)
-		buf = binary.AppendUvarint(buf, s.buckets[k])
-		prev = int64(k)
+	for i, c := range s.counts {
+		if c == 0 {
+			continue
+		}
+		k := int64(s.offset) + int64(i)
+		buf = binary.AppendVarint(buf, k-prev)
+		buf = binary.AppendUvarint(buf, c)
+		prev = k
 	}
 	buf = appendExemplarSection(buf, s)
 	return buf, nil
@@ -317,7 +411,9 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 var ErrCorrupt = errors.New("digest: corrupt sketch encoding")
 
 // UnmarshalBinary decodes a frame produced by MarshalBinary, replacing
-// the receiver's state (including its alpha).
+// the receiver's state (including its alpha). Bucket keys must ascend
+// strictly within [0, key(MaxFloat64)], which bounds what a crafted
+// frame can make the dense store allocate.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < len(magic)+8 || string(data[:3]) != string(magic) {
 		return ErrCorrupt
@@ -325,7 +421,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	data = data[3:]
 	alpha := math.Float64frombits(binary.LittleEndian.Uint64(data))
 	data = data[8:]
-	if !(alpha > 0 && alpha < 1) {
+	if !validAlpha(alpha) {
 		return ErrCorrupt
 	}
 	ns := New(alpha)
@@ -356,6 +452,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return ErrCorrupt
 	}
 	data = data[n:]
+	// The keys are distinct, so the span holds at least nb buckets.
+	ns.counts = make([]uint64, 0, nb)
 	prev := int64(0)
 	var total uint64
 	for i := uint64(0); i < nb; i++ {
@@ -370,10 +468,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		data = data[cn:]
 		key := prev + delta
-		if key < math.MinInt32 || key > math.MaxInt32 {
+		if (i > 0 && delta <= 0) || key < 0 || key > int64(ns.maxKey) {
 			return ErrCorrupt
 		}
-		ns.buckets[int32(key)] = cnt
+		ns.cover(int32(key), int32(key))
+		ns.counts[int32(key)-ns.offset] = cnt
 		prev = key
 		total += cnt
 	}

@@ -1,8 +1,11 @@
 package digest
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -176,7 +179,7 @@ func TestSerializationRoundtrip(t *testing.T) {
 	}
 	// Compactness: delta-encoded buckets should stay near 2-3 bytes each.
 	if len(raw) > 32+6*1000 {
-		t.Errorf("encoding is %d bytes for ~%d buckets — not compact", len(raw), len(s.buckets))
+		t.Errorf("encoding is %d bytes for ~%d buckets — not compact", len(raw), nonEmptyBuckets(s))
 	}
 	var back Sketch
 	if err := back.UnmarshalBinary(raw); err != nil {
@@ -258,5 +261,107 @@ func TestAddN(t *testing.T) {
 	b.AddN(99, 0) // no-op
 	if a.Quantile(0.5) != b.Quantile(0.5) || a.Count() != b.Count() || a.Sum() != b.Sum() {
 		t.Errorf("AddN(v,10) differs from 10x Add(v)")
+	}
+}
+
+// TestInfLandsInTopBucket: +Inf counts in the top finite bucket, so the
+// quantiles and the tail count see it as Max does. (Its key used to be
+// int32(Ceil(+Inf)), MinInt32 on amd64, which hid it below every value.)
+func TestInfLandsInTopBucket(t *testing.T) {
+	s := New(DefaultAlpha)
+	s.AddN(5, 10)
+	s.Add(math.Inf(1))
+	if got := s.Quantile(1); !math.IsInf(got, 1) {
+		t.Errorf("Quantile(1) = %v, want +Inf (= Max %v)", got, s.Max())
+	}
+	if got := s.CountAbove(100); got != 1 {
+		t.Errorf("CountAbove(100) = %d, want 1", got)
+	}
+	if got := s.Quantile(0.5); math.Abs(got-5) > 5*s.Alpha() {
+		t.Errorf("Quantile(0.5) = %v, want 5 within alpha", got)
+	}
+	if k := s.key(math.Inf(1)); k != s.maxKey || k <= 0 {
+		t.Errorf("key(+Inf) = %d, want key(MaxFloat64) = %d", k, s.maxKey)
+	}
+	raw, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Sketch
+	if err := back.UnmarshalBinary(raw); err != nil {
+		t.Fatalf("a sketch holding +Inf must round-trip: %v", err)
+	}
+	if back.CountAbove(100) != 1 || !math.IsInf(back.Quantile(1), 1) {
+		t.Errorf("decoded: CountAbove(100) = %d, Quantile(1) = %v", back.CountAbove(100), back.Quantile(1))
+	}
+}
+
+// craftFrame encodes a sketch frame with the given alpha and one
+// observation in each listed bucket key, in the order given, bypassing
+// every invariant a real sketch keeps.
+func craftFrame(alpha float64, keys []int64) []byte {
+	buf := append([]byte(nil), magic...)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(alpha))
+	buf = binary.AppendUvarint(buf, 0)                 // zero
+	buf = binary.AppendUvarint(buf, uint64(len(keys))) // count: one per bucket
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(len(keys))))
+	if len(keys) > 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(math.MaxFloat64))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	prev := int64(0)
+	for _, k := range keys {
+		buf = binary.AppendVarint(buf, k-prev)
+		buf = binary.AppendUvarint(buf, 1)
+		prev = k
+	}
+	return buf
+}
+
+// decodeAlloc decodes raw and reports the error and the bytes the
+// decode allocated.
+func decodeAlloc(raw []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var s Sketch
+	err := s.UnmarshalBinary(raw)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestUnmarshalHostileKeys: a frame may not name a bucket the sketch
+// could never hold, so it cannot make the dense store allocate a span
+// of gigabytes. The widest legal frame stays within the documented
+// bound of key(MaxFloat64)+1 buckets.
+func TestUnmarshalHostileKeys(t *testing.T) {
+	top := int64(New(DefaultAlpha).maxKey)
+	for _, tc := range []struct {
+		name  string
+		alpha float64
+		keys  []int64
+	}{
+		{"negative key", DefaultAlpha, []int64{-1}},
+		{"MaxInt32 key", DefaultAlpha, []int64{math.MaxInt32}},
+		{"far-apart keys", DefaultAlpha, []int64{0, 1 << 30}},
+		{"just past the top bucket", DefaultAlpha, []int64{0, top + 1}},
+		{"repeated key", DefaultAlpha, []int64{7, 7}},
+		{"descending keys", DefaultAlpha, []int64{9, 8}},
+		{"alpha below the floor", minAlpha / 10, []int64{0, 1 << 30}},
+	} {
+		alloc, err := decodeAlloc(craftFrame(tc.alpha, tc.keys))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if alloc > 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", tc.name, alloc)
+		}
+	}
+	alloc, err := decodeAlloc(craftFrame(DefaultAlpha, []int64{0, top}))
+	if err != nil {
+		t.Fatalf("keys 0 and key(MaxFloat64) are legal: %v", err)
+	}
+	if limit := uint64(top+1) * 8 * 2; alloc > limit {
+		t.Errorf("widest legal frame allocated %d bytes, over %d", alloc, limit)
 	}
 }
